@@ -468,7 +468,7 @@ def bench_comms(
     from repro.experiments.figure3 import figure3_scope
     from repro.power.acquisition import random_inputs
     from repro.power.profile import cortex_a7_profile
-    from repro.sca.models import hw_sbox_model
+    from repro.sca.models import hw_sbox_class_model
 
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     program = round1_only_program(key)
@@ -540,10 +540,7 @@ def bench_comms(
     parent_acc = cpa_fold.create()
     for chunk in serial_chunks:
         plaintexts = chunk.trace_set.inputs.mem_bytes[LAYOUT.state]
-        parent_acc.update(
-            chunk.trace_set.traces,
-            lambda guess: hw_sbox_model(plaintexts, 0, guess),
-        )
+        parent_acc.update(chunk.trace_set.traces, hw_sbox_class_model(plaintexts, 0))
     reference_corr = parent_acc.result().correlations
 
     def consume(backend, jobs, transport=None):

@@ -18,13 +18,21 @@ proportional to one chunk:
   :func:`repro.sca.ttest.welch_ttest`;
 * :class:`CpaAccumulator` — folds chunks into a full
   :class:`repro.sca.cpa.CpaResult`, the engine behind
-  :func:`repro.sca.cpa.cpa_attack_streaming`.
+  :func:`repro.sca.cpa.cpa_attack_streaming`.  For a
+  :class:`repro.sca.models.ClassModel` (a model that sees each trace
+  only through a class label, like Figure 3's HW(SBOX[pt ^ guess]))
+  it folds :class:`PartitionSums` — per-class trace sums — instead of
+  per-guess co-moments.
 
-All accumulators use the *centered* (co-moment) update rather than raw
+The accumulators use the *centered* (co-moment) update rather than raw
 sum/sum-of-squares, which is what keeps the streamed results numerically
 matched to the two-pass reference implementations: raw power sums lose
 roughly ``log10(n * mean^2 / variance)`` digits to cancellation, the
-Chan form does not.
+Chan form does not.  :class:`PartitionSums` is the one exception: its
+class sums are exact on quantized traces, and only its trace variance
+is a raw power sum, which keeps it within 1e-10 of the two-pass CPA for
+DC offsets up to a few hundred noise sigmas (``docs/performance.md``,
+"Partition-sum CPA").
 
 Every finishing method (``correlations``, ``result``) is a *snapshot*:
 it reads the sufficient statistics without consuming them, so a caller
@@ -46,12 +54,16 @@ to the serial fold.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.sca.snr import SnrResult
 from repro.sca.ttest import TVLA_THRESHOLD, TTestResult
+
+if TYPE_CHECKING:
+    from repro.sca.models import ClassModel
 
 
 class OnlineMeanVar:
@@ -391,43 +403,222 @@ class OnlineTTestAccumulator:
     snapshot = result
 
 
+#: :attr:`CpaAccumulator.kind` of the per-guess co-moment statistics
+#: (any ``model_fn``; also every state written without a kind).
+COMOMENT = "comoment"
+#: :attr:`CpaAccumulator.kind` of the per-class trace sums folded for a
+#: :class:`repro.sca.models.ClassModel`.
+PARTITION = "partition"
+
+
+class StatisticKindMismatch(ValueError):
+    """Co-moment and partition-sum CPA statistics were combined."""
+
+
+@dataclass(eq=False)
+class PartitionSums:
+    """Sufficient statistics of a CPA whose model is a class table.
+
+    For a :class:`~repro.sca.models.ClassModel` the model of trace ``i``
+    under guess ``g`` is ``table[g, label_i]``, so every correlation is a
+    function of the per-class trace sums ``[C, S]``, the class counts
+    and the trace column sums ``Σy`` and ``Σy²`` — all plain sums, whose
+    merge is addition.  On traces quantized to a grid (every capture
+    chain here) the float64 class sums, counts and ``Σy`` are exact, so
+    they are bitwise independent of chunking and order; ``Σy²`` is not,
+    so byte identity across workers still rests on in-order merging.
+    """
+
+    table: np.ndarray  # [n_guesses, C], the model's
+    counts: np.ndarray  # [C] int64
+    class_sums: np.ndarray  # [C, S] float64
+    sum_y: np.ndarray  # [S]
+    sum_y2: np.ndarray  # [S]
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @classmethod
+    def of_chunk(cls, model: "ClassModel", traces: np.ndarray) -> "PartitionSums":
+        """The statistics of one chunk under ``model``."""
+        labels = np.asarray(model.labels, dtype=np.intp)
+        traces = np.asarray(traces)
+        if labels.shape[0] != traces.shape[0]:
+            raise ValueError(f"trace count mismatch: {labels.shape[0]} vs {traces.shape[0]}")
+        n_classes = model.table.shape[1]
+        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+            raise ValueError(f"class labels must lie in [0, {n_classes})")
+        counts = np.bincount(labels, minlength=n_classes)
+        # Sum each class's rows (in trace order), widening to float64.
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)
+        class_sums = np.zeros((n_classes, traces.shape[1]))
+        for label in np.flatnonzero(counts):
+            rows = order[ends[label] - counts[label] : ends[label]]
+            np.add.reduce(traces[rows], axis=0, dtype=np.float64, out=class_sums[label])
+        return cls(
+            model.table,
+            counts,
+            class_sums,
+            class_sums.sum(axis=0),
+            np.einsum("ij,ij->j", traces, traces, dtype=np.float64),
+        )
+
+    def merge(self, other: "PartitionSums") -> None:
+        if other.table is not self.table and not np.array_equal(other.table, self.table):
+            raise ValueError("cannot merge partition sums over different model tables")
+        if other.class_sums.shape != self.class_sums.shape:
+            raise ValueError("chunk sample width changed between updates")
+        self.counts += other.counts
+        self.class_sums += other.class_sums
+        self.sum_y += other.sum_y
+        self.sum_y2 += other.sum_y2
+
+    def state(self) -> dict:
+        return {key: value.copy() for key, value in vars(self).items()}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "PartitionSums":
+        return cls(**{key: np.array(value) for key, value in state.items()})
+
+    def correlations(self, guesses: np.ndarray) -> np.ndarray:
+        """``[n_guesses, n_samples]`` Pearson correlations.
+
+        One centred product over the observed classes: the model table
+        centred per guess on its trace-weighted mean, against the class
+        sums centred on the trace mean.  Division and clipping follow
+        :meth:`OnlineCorrAccumulator.correlations`.
+        """
+        present = np.flatnonzero(self.counts)
+        n = self.n
+        counts = self.counts[present].astype(np.float64)
+        x = self.table[np.ix_(guesses, present)].astype(np.float64)
+        x -= (x @ counts / n)[:, None]
+        mean_y = self.sum_y / n
+        y = self.class_sums[present] - np.outer(counts, mean_y)
+        comoment = x @ y
+        m2_x = x**2 @ counts
+        m2_y = self.sum_y2 - self.sum_y * mean_y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = comoment / np.outer(np.sqrt(m2_x), np.sqrt(m2_y))
+        corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
+        return np.clip(corr, -1.0, 1.0)
+
+
+def _kind_of(stats: "OnlineCorrAccumulator | PartitionSums") -> str:
+    return PARTITION if isinstance(stats, PartitionSums) else COMOMENT
+
+
+def _model_input(model_fn: Callable[[int], np.ndarray], guesses: np.ndarray):
+    """What a chunk's CPA statistics are computed from: a ``ClassModel``
+    as is, any other callable as its ``[k, n_guesses]`` model matrix.
+    Either slices by trace range."""
+    from repro.sca.models import ClassModel
+
+    if isinstance(model_fn, ClassModel):
+        return model_fn
+    return np.stack(
+        [np.asarray(model_fn(int(g)), dtype=np.float64) for g in guesses], axis=1
+    )
+
+
+def _chunk_statistics(traces: np.ndarray, model) -> "OnlineCorrAccumulator | PartitionSums":
+    """One chunk's CPA statistics: partition sums for a ``ClassModel``,
+    else the co-moments of a ``[k, n_guesses]`` model matrix."""
+    if isinstance(model, np.ndarray):
+        stats = OnlineCorrAccumulator()
+        stats.update(model, traces)
+        return stats
+    return PartitionSums.of_chunk(model, traces)
+
+
 class CpaAccumulator:
     """Folds trace chunks into a full :class:`repro.sca.cpa.CpaResult`.
 
     Each chunk arrives with its own model evaluator (closing over that
     chunk's plaintexts), mirroring the monolithic
     :func:`repro.sca.cpa.cpa_attack` signature per chunk.
+
+    The statistics take one of two kinds, fixed by the first chunk:
+    a :class:`~repro.sca.models.ClassModel` folds :class:`PartitionSums`
+    (``kind == PARTITION``); any other callable is evaluated for every
+    guess and folds per-guess co-moments (``kind == COMOMENT``).
+    Combining the two kinds raises :class:`StatisticKindMismatch`.
     """
 
     def __init__(self, guesses: Sequence[int] = tuple(range(256))) -> None:
         self.guesses = np.asarray(list(guesses))
-        self._corr = OnlineCorrAccumulator()
+        self._stats: OnlineCorrAccumulator | PartitionSums | None = None
+
+    def __setstate__(self, attrs: dict) -> None:
+        # Pickles from before the partition kind hold a bare co-moment
+        # fold under ``_corr``.
+        if "_corr" in attrs:
+            attrs = {"guesses": attrs["guesses"], "_stats": attrs["_corr"]}
+        self.__dict__.update(attrs)
+
+    @property
+    def kind(self) -> str | None:
+        """``PARTITION``, ``COMOMENT``, or ``None`` before any data."""
+        return None if self._stats is None else _kind_of(self._stats)
 
     @property
     def n_traces(self) -> int:
-        return self._corr.n
+        return 0 if self._stats is None else self._stats.n
 
     def update(self, traces: np.ndarray, model_fn: Callable[[int], np.ndarray]) -> None:
         """Fold one chunk; ``model_fn(guess)`` returns ``[chunk_traces]``."""
-        models = np.stack(
-            [np.asarray(model_fn(int(g)), dtype=np.float64) for g in self.guesses],
-            axis=1,
-        )
-        self._corr.update(models, traces)
+        self._absorb(_chunk_statistics(traces, _model_input(model_fn, self.guesses)))
+
+    def _absorb(self, stats: "OnlineCorrAccumulator | PartitionSums") -> None:
+        """Combine one chunk's statistics, exactly as ``merge`` would."""
+        if self._stats is None:
+            self._stats = stats
+        elif type(stats) is not type(self._stats):
+            raise StatisticKindMismatch(
+                f"cannot combine {self.kind} CPA statistics with {_kind_of(stats)} ones"
+            )
+        else:
+            self._stats.merge(stats)
+
+    def require_kind(self, kind: str) -> "CpaAccumulator":
+        """``self``, if empty or of ``kind``; else :class:`StatisticKindMismatch`."""
+        if self.kind not in (None, kind):
+            raise StatisticKindMismatch(
+                f"expected {kind} CPA statistics, found {self.kind} ones"
+            )
+        return self
 
     def merge(self, other: "CpaAccumulator") -> None:
         if not np.array_equal(self.guesses, other.guesses):
             raise ValueError("cannot merge CPA accumulators over different guesses")
-        self._corr.merge(other._corr)
+        stats = other._stats
+        if stats is None:
+            return
+        if self._stats is None:
+            stats = type(stats).from_state(stats.state())  # never alias other
+        self._absorb(stats)
 
     def state(self) -> dict:
         """The sufficient statistics as a compact, picklable dict."""
-        return {"guesses": self.guesses.copy(), "corr": self._corr.state()}
+        record: dict = {"guesses": self.guesses.copy(), "kind": self.kind}
+        if self._stats is not None:
+            record["stats"] = self._stats.state()
+        return record
 
     @classmethod
     def from_state(cls, state: dict) -> "CpaAccumulator":
         acc = cls(guesses=np.asarray(state["guesses"]))
-        acc._corr = OnlineCorrAccumulator.from_state(state["corr"])
+        if "kind" not in state:
+            # Written before the partition kind: co-moments under "corr".
+            acc._stats = OnlineCorrAccumulator.from_state(state["corr"])
+        elif state["kind"] == PARTITION:
+            acc._stats = PartitionSums.from_state(state["stats"])
+        elif state["kind"] == COMOMENT:
+            acc._stats = OnlineCorrAccumulator.from_state(state["stats"])
+        elif state["kind"] is not None:
+            raise ValueError(f"unknown CPA statistic kind {state['kind']!r}")
         return acc
 
     def clone(self) -> "CpaAccumulator":
@@ -442,9 +633,14 @@ class CpaAccumulator:
         """
         from repro.sca.cpa import CpaResult
 
-        correlations = np.atleast_2d(self._corr.correlations())
+        if self.n_traces == 0:
+            raise ValueError("no chunks accumulated")
+        if isinstance(self._stats, PartitionSums):
+            correlations = self._stats.correlations(self.guesses)
+        else:
+            correlations = np.atleast_2d(self._stats.correlations())
         return CpaResult(
-            correlations=correlations, guesses=self.guesses, n_traces=self._corr.n
+            correlations=correlations, guesses=self.guesses, n_traces=self.n_traces
         )
 
     snapshot = result
@@ -533,17 +729,15 @@ class CpaBudgetSnapshots:
 
     def update(self, traces: np.ndarray, model_fn: Callable[[int], np.ndarray]) -> None:
         """Fold one chunk, snapshotting at every budget it crosses."""
-        models = np.stack(
-            [np.asarray(model_fn(int(g)), dtype=np.float64) for g in self.guesses],
-            axis=1,
-        )
+        model = _model_input(model_fn, self.guesses)
         for low, high, budget in self._splitter.split(traces.shape[0]):
+            stats = _chunk_statistics(traces[low:high], model[low:high])
             if self._defer:
                 part = CpaAccumulator(self.guesses)
-                part._corr.update(models[low:high], traces[low:high])
+                part._absorb(stats)
                 self._parts.append((budget, part))
             else:
-                self._accumulator._corr.update(models[low:high], traces[low:high])
+                self._accumulator._absorb(stats)
                 if budget is not None:
                     self.results.append(self._accumulator.result())
 
@@ -629,6 +823,13 @@ class CpaBudgetSnapshots:
 
     def clone(self) -> "CpaBudgetSnapshots":
         return self.from_state(self.state())
+
+    def require_kind(self, kind: str) -> "CpaBudgetSnapshots":
+        """``self``, if every folded part is empty or of ``kind``."""
+        self._accumulator.require_kind(kind)
+        for _budget, part in self._parts:
+            part.require_kind(kind)
+        return self
 
     def result(self):
         """The full-campaign :class:`CpaResult` over everything folded

@@ -37,6 +37,7 @@ import tempfile
 from typing import Any, Callable
 
 from repro.backends.resilience import active_report
+from repro.campaigns.accumulators import StatisticKindMismatch
 
 #: Bump on any incompatible record-shape change; loaders reject other
 #: versions loudly instead of misreading them.
@@ -193,7 +194,14 @@ class Checkpointer:
         self.complete = bool(record.get("complete", False))
         self.resumed_from = len(self.completed)
         if self.restore_fn is not None and record.get("state") is not None:
-            self.restore_fn(record["state"])
+            try:
+                self.restore_fn(record["state"])
+            except StatisticKindMismatch as error:
+                raise CheckpointMismatch(
+                    f"checkpoint at {self.store.path} holds statistics this "
+                    f"campaign cannot continue ({error}); pass resume=False (or "
+                    "a fresh --checkpoint directory) to start over"
+                ) from error
         self._record_event(
             "resumed", chunks_done=self.resumed_from, chunks=self._n_chunks
         )

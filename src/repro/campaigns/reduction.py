@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.backends.base import ChunkTask
 from repro.campaigns.accumulators import (
+    PARTITION,
     CpaAccumulator,
     CpaBudgetSnapshots,
     OnlineMeanVar,
@@ -130,11 +131,11 @@ class TraceMeanVarFold(ChunkFold):
 class SboxCpaFold(ChunkFold):
     """Figure 3's 256-guess HW(SubBytes out) CPA, folded worker-side.
 
-    Reproduces the parent-side fold byte for byte: each chunk's model
-    matrix is evaluated against the chunk's own plaintext slice (the
-    worker holds exactly that slice as ``trace_set.inputs``), so the
-    per-chunk accumulator state equals what the serial fold's ``update``
-    would have combined.
+    Reproduces the parent-side fold byte for byte: each chunk's class
+    model is built from the chunk's own plaintext slice (the worker
+    holds exactly that slice as ``trace_set.inputs``), so the per-chunk
+    partition sums equal what the serial fold's ``update`` would have
+    combined.
     """
 
     byte_index: int
@@ -146,14 +147,11 @@ class SboxCpaFold(ChunkFold):
         return CpaAccumulator(self.guesses)
 
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
-        from repro.sca.models import hw_sbox_model
+        from repro.sca.models import hw_sbox_class_model
 
         plaintexts = _chunk_plaintexts(trace_set, self.state_block)
         part = CpaAccumulator(self.guesses)
-        part.update(
-            trace_set.traces,
-            lambda guess: hw_sbox_model(plaintexts, self.byte_index, guess),
-        )
+        part.update(trace_set.traces, hw_sbox_class_model(plaintexts, self.byte_index))
         return part.state()
 
     def merge_state(self, accumulator, task, state):
@@ -164,7 +162,7 @@ class SboxCpaFold(ChunkFold):
         return accumulator.state()
 
     def thaw(self, frozen):
-        return CpaAccumulator.from_state(frozen)
+        return CpaAccumulator.from_state(frozen).require_kind(PARTITION)
 
 
 @dataclass(frozen=True)
@@ -186,16 +184,13 @@ class SboxCpaBudgetFold(ChunkFold):
         return CpaBudgetSnapshots(self.budgets, self.guesses)
 
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
-        from repro.sca.models import hw_sbox_model
+        from repro.sca.models import hw_sbox_class_model
 
         plaintexts = _chunk_plaintexts(trace_set, self.state_block)
         part = CpaBudgetSnapshots(
             self.budgets, self.guesses, start=task.lo, defer=True
         )
-        part.update(
-            trace_set.traces,
-            lambda guess: hw_sbox_model(plaintexts, self.byte_index, guess),
-        )
+        part.update(trace_set.traces, hw_sbox_class_model(plaintexts, self.byte_index))
         return part.state()
 
     def merge_state(self, accumulator, task, state):
@@ -206,7 +201,7 @@ class SboxCpaBudgetFold(ChunkFold):
         return accumulator.state()
 
     def thaw(self, frozen):
-        return CpaBudgetSnapshots.from_state(frozen)
+        return CpaBudgetSnapshots.from_state(frozen).require_kind(PARTITION)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from repro.crypto.primitives import (
 )
 from repro.isa.registers import Reg
 from repro.power.acquisition import BatchInputs, random_inputs
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 from repro.sweeps.metrics import T_SPLIT
 
 #: The AES-128 key corpus workloads attack (the FIPS-197 vector, shared
@@ -146,10 +146,7 @@ def _mem_inputs(n_traces: int, seed: int, address: int, length: int, salt: int) 
 
 def _sbox_model(inputs: BatchInputs, lo: int, hi: int, address: int) -> np.ndarray:
     """HW(AES-SBOX[pt ^ guess]) over all 256 guesses, byte 0 of ``address``."""
-    plaintexts = inputs.mem_bytes[address][lo:hi]
-    return np.stack(
-        [hw_sbox_model(plaintexts, 0, guess) for guess in range(256)], axis=1
-    )
+    return hw_sbox_matrix(inputs.mem_bytes[address][lo:hi], 0)
 
 
 def _present_model(inputs: BatchInputs, lo: int, hi: int) -> np.ndarray:
@@ -185,10 +182,7 @@ def _masked_model(inputs: BatchInputs, lo: int, hi: int, address: int) -> np.nda
         inputs.regs[Reg.R8][lo:hi].astype(np.uint8)
         ^ inputs.regs[Reg.R9][lo:hi].astype(np.uint8)
     )
-    plaintexts = inputs.mem_bytes[address][lo:hi] ^ share_mask[:, None]
-    return np.stack(
-        [hw_sbox_model(plaintexts, 0, guess) for guess in range(256)], axis=1
-    )
+    return hw_sbox_matrix(inputs.mem_bytes[address][lo:hi] ^ share_mask[:, None], 0)
 
 
 # -- registry ------------------------------------------------------------

@@ -8,14 +8,73 @@ Two families:
   between two **consecutively stored** SubBytes output bytes, which maps
   onto the LSU store-path byte-lane buffer this repository models as
   ``align_store``.
+
+Figure 3's model depends on a trace only through one plaintext byte, so
+it is also offered as a :class:`ClassModel` — per-trace class labels
+plus a ``[guess, class]`` table — which lets a streamed CPA fold
+per-class trace sums instead of per-guess co-moments (see
+:class:`repro.campaigns.accumulators.CpaAccumulator`).
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crypto.aes import sub_bytes_out_round1
 from repro.power.hamming import hamming_distance, hamming_weight
+
+
+@dataclass(frozen=True, eq=False)
+class ClassModel:
+    """A leakage model that sees each trace only through a class label.
+
+    ``labels`` holds one class in ``[0, C)`` per trace and ``table`` is
+    ``[n_guesses, C]``; ``model(guess)`` is ``table[guess][labels]`` as
+    float64, so a ``ClassModel`` is a drop-in ``model_fn`` anywhere a
+    per-guess callable is accepted.  Slicing selects traces:
+    ``model[lo:hi]`` is the model of that trace range.
+    """
+
+    labels: np.ndarray
+    table: np.ndarray
+
+    def __call__(self, guess: int) -> np.ndarray:
+        return self.table[guess][self.labels].astype(np.float64)
+
+    def __getitem__(self, rows) -> "ClassModel":
+        return ClassModel(self.labels[rows], self.table)
+
+
+@functools.cache
+def hw_sbox_table() -> np.ndarray:
+    """The shared read-only ``uint8[256 guesses, 256 bytes]`` table of
+    ``HW(SBOX[byte ^ guess])``."""
+    values = np.arange(256, dtype=np.uint8)
+    table = np.stack(
+        [hamming_weight(sub_bytes_out_round1(values, guess)) for guess in range(256)]
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _state_byte(plaintexts: np.ndarray, byte_index: int | None) -> np.ndarray:
+    """The attacked byte per trace, as :func:`sub_bytes_out_round1` reads it."""
+    pt = np.asarray(plaintexts, dtype=np.uint8)
+    return pt[:, byte_index] if pt.ndim == 2 else pt
+
+
+def hw_sbox_class_model(plaintexts: np.ndarray, byte_index: int | None) -> ClassModel:
+    """Figure 3's model as a :class:`ClassModel` over the plaintext byte;
+    ``model(g)`` is bit-equal to ``hw_sbox_model(plaintexts, byte_index, g)``."""
+    return ClassModel(_state_byte(plaintexts, byte_index), hw_sbox_table())
+
+
+def hw_sbox_matrix(plaintexts: np.ndarray, byte_index: int | None) -> np.ndarray:
+    """``[n_traces, 256]`` float64: column ``g`` is ``hw_sbox_model(..., g)``."""
+    return hw_sbox_table().T[_state_byte(plaintexts, byte_index)].astype(np.float64)
 
 
 def hw_sbox_model(plaintexts: np.ndarray, byte_index: int, key_guess: int) -> np.ndarray:

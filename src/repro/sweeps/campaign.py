@@ -42,7 +42,7 @@ from repro.experiments.reporting import render_table
 from repro.power.acquisition import BatchInputs, random_inputs
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import ScopeConfig
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 from repro.sweeps.metrics import LeakageMetricsFold, PointMetrics
 from repro.sweeps.spec import SweepPoint, SweepSpec
 
@@ -79,10 +79,7 @@ def _aes_model_matrix(
     inputs: BatchInputs, lo: int, hi: int, byte_index: int
 ) -> np.ndarray:
     plaintexts = inputs.mem_bytes[LAYOUT.state][lo:hi]
-    return np.stack(
-        [hw_sbox_model(plaintexts, byte_index, guess) for guess in range(256)],
-        axis=1,
-    )
+    return hw_sbox_matrix(plaintexts, byte_index)
 
 
 def aes_round1_workload(

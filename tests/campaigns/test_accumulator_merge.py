@@ -14,22 +14,32 @@ hypothesis over arbitrary data and arbitrary re-partitionings:
 * **associativity** — ``(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)`` within 1e-10.
 * **identity** — merging a fresh (empty) accumulator is a no-op.
 
+The partition-sum CPA kind (a :class:`~repro.sca.models.ClassModel`
+folded into per-class trace sums) adds one more: on data quantized to a
+grid its class sums and counts are *exact*, hence bitwise equal under
+any grouping and order of the traces.
+
 ``state()``/``from_state()`` round-trips are exercised on every merge
 path (that is how worker states actually travel).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns.accumulators import (
+    COMOMENT,
+    PARTITION,
     CpaAccumulator,
     CpaBudgetSnapshots,
     OnlineCorrAccumulator,
     OnlineMeanVar,
     OnlineSnrAccumulator,
     OnlineTTestAccumulator,
+    StatisticKindMismatch,
 )
+from repro.sca.models import ClassModel, hw_sbox_class_model, hw_sbox_model, hw_sbox_table
 
 TOL = 1e-10
 
@@ -321,3 +331,156 @@ class TestBudgetSnapshots:
             assert "non-contiguous" in str(error)
         else:
             raise AssertionError("merging a gapped part must fail")
+
+
+def _grid_campaign(n, n_samples=6, seed=0):
+    """8-bit quantized float32 traces (one LSB grid) and their plaintexts,
+    as every capture chain records them."""
+    rng = np.random.default_rng(seed)
+    plaintexts = rng.integers(0, 256, size=n, dtype=np.uint8)
+    lsb = np.float32(0.731)
+    traces = rng.integers(0, 256, size=(n, n_samples)).astype(np.float32) * lsb
+    return plaintexts, traces
+
+
+def _fold_partition(plaintexts, traces, rows):
+    acc = CpaAccumulator()
+    acc.update(traces[rows], hw_sbox_class_model(plaintexts[rows], None))
+    return acc
+
+
+def _assert_same_sums(left, right):
+    a, b = left._stats, right._stats
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a.class_sums, b.class_sums)
+    np.testing.assert_array_equal(a.sum_y, b.sum_y)
+
+
+class TestPartitionSums:
+    """The partition-sum CPA kind obeys the same merge algebra."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=6, max_value=80), cuts=partitions, seed=st.integers(0, 99))
+    def test_any_partition_merged_in_order_is_bitwise_serial(self, n, cuts, seed):
+        rng = np.random.default_rng(seed)
+        plaintexts = rng.integers(0, 256, size=n, dtype=np.uint8)
+        traces = rng.normal(size=(n, 5))
+        serial = CpaAccumulator()
+        merged = CpaAccumulator()
+        for lo, hi in _cuts_to_bounds(n, cuts):
+            serial.update(traces[lo:hi], hw_sbox_class_model(plaintexts[lo:hi], None))
+            part = _fold_partition(plaintexts, traces, slice(lo, hi))
+            merged.merge(CpaAccumulator.from_state(part.state()))
+        assert merged.kind == serial.kind == PARTITION
+        for key, value in serial.state()["stats"].items():
+            np.testing.assert_array_equal(merged.state()["stats"][key], value)
+        np.testing.assert_array_equal(
+            merged.result().correlations, serial.result().correlations
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=120),
+        cuts=partitions,
+        seed=st.integers(0, 99),
+        reverse=st.booleans(),
+    )
+    def test_class_sums_are_order_free_on_grid_data(self, n, cuts, seed, reverse):
+        plaintexts, traces = _grid_campaign(n, seed=seed)
+        serial = _fold_partition(plaintexts, traces, slice(None))
+        # A random permutation, cut into arbitrary groups, each group
+        # pre-merged pairwise from single-trace parts, merged in any order.
+        order = np.random.default_rng(seed + 1).permutation(n)
+        groups = []
+        for lo, hi in _cuts_to_bounds(n, cuts):
+            group = CpaAccumulator()
+            for row in order[lo:hi]:
+                group.merge(_fold_partition(plaintexts, traces, [row]))
+            groups.append(group)
+        merged = CpaAccumulator()
+        for group in reversed(groups) if reverse else groups:
+            merged.merge(group)
+        _assert_same_sums(merged, serial)
+        np.testing.assert_allclose(
+            merged.result().correlations, serial.result().correlations, rtol=0, atol=TOL
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(min_value=2, max_value=30)] * 3),
+        seed=st.integers(0, 99),
+    )
+    def test_associative(self, sizes, seed):
+        n = sum(sizes)
+        rng = np.random.default_rng(seed)
+        plaintexts = rng.integers(0, 256, size=n, dtype=np.uint8)
+        traces = rng.normal(size=(n, 5))
+        edges = np.cumsum((0, *sizes))
+        a, b, c = (
+            _fold_partition(plaintexts, traces, slice(lo, hi))
+            for lo, hi in zip(edges, edges[1:])
+        )
+        left = a.clone()
+        left.merge(b)
+        left.merge(c)
+        bc = b.clone()
+        bc.merge(c)
+        right = a.clone()
+        right.merge(bc)
+        np.testing.assert_array_equal(left._stats.counts, right._stats.counts)
+        np.testing.assert_allclose(
+            left.result().correlations, right.result().correlations, rtol=0, atol=TOL
+        )
+
+    def test_identity_both_sides(self):
+        plaintexts, traces = _grid_campaign(30, seed=8)
+        acc = _fold_partition(plaintexts, traces, slice(None))
+        reference = acc.state()
+        acc.merge(CpaAccumulator())
+        empty = CpaAccumulator()
+        empty.merge(acc)
+        for merged in (acc, empty):
+            assert merged.kind == PARTITION
+            for key, value in reference["stats"].items():
+                np.testing.assert_array_equal(merged.state()["stats"][key], value)
+        # Adopting a sibling's statistics copies them: no aliasing.
+        empty.merge(acc)
+        np.testing.assert_array_equal(acc._stats.counts, reference["stats"]["counts"])
+
+    def test_merging_across_kinds_raises(self):
+        plaintexts, traces = _grid_campaign(30, seed=9)
+        partition = _fold_partition(plaintexts, traces, slice(None))
+        comoment = CpaAccumulator()
+        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, None, g))
+        with pytest.raises(ValueError):
+            partition.merge(comoment)
+        with pytest.raises(ValueError):
+            comoment.merge(partition)
+
+    def test_merging_different_tables_raises(self):
+        plaintexts, traces = _grid_campaign(30, seed=10)
+        sbox = _fold_partition(plaintexts, traces, slice(None))
+        other = CpaAccumulator()
+        other.update(traces, ClassModel(plaintexts, hw_sbox_table()[::-1]))
+        with pytest.raises(ValueError):
+            sbox.merge(other)
+
+    @settings(max_examples=10, deadline=None)
+    @given(cuts=partitions, seed=st.integers(0, 99))
+    def test_deferred_budget_parts_replay_serial_snapshots(self, cuts, seed):
+        n, budgets = 60, (20, 45, 60)
+        plaintexts, traces = _grid_campaign(n, seed=seed)
+        serial = CpaBudgetSnapshots(budgets)
+        merged = CpaBudgetSnapshots(budgets)
+        for lo, hi in _cuts_to_bounds(n, cuts):
+            model = hw_sbox_class_model(plaintexts[lo:hi], None)
+            serial.update(traces[lo:hi], model)
+            part = CpaBudgetSnapshots(budgets, start=lo, defer=True)
+            part.update(traces[lo:hi], model)
+            merged.merge(CpaBudgetSnapshots.from_state(part.state()))
+        assert len(serial.results) == len(merged.results) == len(budgets)
+        for ours, theirs in zip(merged.results, serial.results):
+            assert ours.n_traces == theirs.n_traces
+            np.testing.assert_array_equal(ours.correlations, theirs.correlations)
+        with pytest.raises(StatisticKindMismatch):
+            merged.require_kind(COMOMENT)

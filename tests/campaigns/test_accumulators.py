@@ -1,18 +1,30 @@
 """Online accumulators: streamed statistics equal the monolithic ones."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns.accumulators import (
+    COMOMENT,
+    PARTITION,
     CpaAccumulator,
     OnlineCorrAccumulator,
     OnlineMeanVar,
     OnlineSnrAccumulator,
     OnlineTTestAccumulator,
+    StatisticKindMismatch,
 )
 from repro.sca.cpa import cpa_attack
+from repro.sca.models import (
+    ClassModel,
+    hw_sbox_class_model,
+    hw_sbox_matrix,
+    hw_sbox_model,
+    hw_sbox_table,
+)
 from repro.sca.snr import partition_snr
 from repro.sca.stats import pearson_corr
 from repro.sca.ttest import welch_ttest
@@ -214,3 +226,147 @@ class TestCpaAccumulator:
     def test_merge_requires_same_guesses(self):
         with pytest.raises(ValueError):
             CpaAccumulator(range(4)).merge(CpaAccumulator(range(5)))
+
+
+def _sbox_campaign(n, n_samples=23, offset=0.0, seed=0x5B0):
+    """Plaintexts plus traces leaking HW(SBOX[pt0 ^ 0x3C]) at sample 9."""
+    rng = np.random.default_rng(seed)
+    plaintexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+    traces = rng.normal(offset, 1.0, size=(n, n_samples))
+    traces[:, 9] += 0.5 * hw_sbox_model(plaintexts, 0, 0x3C)
+    return plaintexts, traces
+
+
+class TestPartitionCpa:
+    """A ``ClassModel`` folds per-class sums; the result is the same CPA."""
+
+    def test_class_model_equals_hw_sbox_model_for_every_guess(self):
+        plaintexts, _ = _sbox_campaign(300)
+        model = hw_sbox_class_model(plaintexts, 5)
+        for guess in range(256):
+            values = model(guess)
+            assert values.dtype == np.float64
+            np.testing.assert_array_equal(values, hw_sbox_model(plaintexts, 5, guess))
+
+    def test_matrix_gather_is_byte_identical_to_the_stack(self):
+        plaintexts, _ = _sbox_campaign(300)
+        for byte_index in (0, 7):
+            stacked = np.stack(
+                [hw_sbox_model(plaintexts, byte_index, g) for g in range(256)], axis=1
+            )
+            gathered = hw_sbox_matrix(plaintexts, byte_index)
+            assert gathered.dtype == stacked.dtype and gathered.shape == stacked.shape
+            assert gathered.flags.c_contiguous
+            assert gathered.tobytes() == stacked.tobytes()
+
+    def test_table_is_shared_and_read_only(self):
+        assert hw_sbox_table() is hw_sbox_table()
+        assert not hw_sbox_table().flags.writeable
+
+    @pytest.mark.parametrize("offset", [0.0, 150.0])
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_matches_two_pass_cpa(self, chunk, offset):
+        # offset 150 puts a DC level of 150 sigma under every sample.
+        n = 600
+        plaintexts, traces = _sbox_campaign(n, offset=offset)
+        reference = cpa_attack(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        acc = CpaAccumulator()
+        for lo, hi in _chunks(n, chunk):
+            acc.update(traces[lo:hi], hw_sbox_class_model(plaintexts[lo:hi], 0))
+        streamed = acc.result()
+        assert acc.kind == PARTITION
+        assert streamed.n_traces == n
+        assert streamed.best_guess == reference.best_guess == 0x3C
+        np.testing.assert_allclose(
+            streamed.correlations, reference.correlations, rtol=0, atol=1e-10
+        )
+
+    def test_guess_subset_reads_the_matching_table_rows(self):
+        plaintexts, traces = _sbox_campaign(200)
+        guesses = (0x3C, 7, 200)
+        acc = CpaAccumulator(guesses)
+        acc.update(traces, hw_sbox_class_model(plaintexts, 0))
+        reference = cpa_attack(
+            traces, lambda g: hw_sbox_model(plaintexts, 0, g), guesses=guesses
+        )
+        np.testing.assert_allclose(
+            acc.result().correlations, reference.correlations, rtol=0, atol=1e-10
+        )
+
+    def test_updating_across_kinds_raises(self):
+        plaintexts, traces = _sbox_campaign(40)
+        partition = CpaAccumulator()
+        partition.update(traces, hw_sbox_class_model(plaintexts, 0))
+        with pytest.raises(ValueError):
+            partition.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        comoment = CpaAccumulator()
+        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        with pytest.raises(ValueError):
+            comoment.update(traces, hw_sbox_class_model(plaintexts, 0))
+
+    def test_empty_accumulator_has_no_result(self):
+        acc = CpaAccumulator()
+        acc.update(np.empty((0, 4)), ClassModel(np.empty(0, dtype=np.uint8), hw_sbox_table()))
+        with pytest.raises(ValueError):
+            acc.result()
+
+    def test_labels_outside_the_table_are_rejected(self):
+        model = ClassModel(np.array([0, 3]), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            CpaAccumulator(range(2)).update(np.zeros((2, 4)), model)
+
+
+#: A ``CpaAccumulator.state()`` as written before the partition kind
+#: existed: co-moments under "corr", no "kind" key (two guesses, one
+#: sample, three traces).
+PRE_PARTITION_STATE = {
+    "guesses": np.array([0, 1]),
+    "corr": {
+        "n": 3,
+        "single": False,
+        "mean_x": np.array([1.0, 2.0]),
+        "mean_y": np.array([0.5]),
+        "m2_x": np.array([2.0, 8.0]),
+        "m2_y": np.array([1.5]),
+        "comoment": np.array([[1.0], [-2.0]]),
+    },
+}
+
+
+class TestStateKinds:
+    def test_state_records_its_kind(self):
+        plaintexts, traces = _sbox_campaign(40)
+        partition = CpaAccumulator()
+        partition.update(traces, hw_sbox_class_model(plaintexts, 0))
+        comoment = CpaAccumulator()
+        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        assert CpaAccumulator().state()["kind"] is None
+        assert partition.state()["kind"] == PARTITION
+        assert comoment.state()["kind"] == COMOMENT
+        for acc in (partition, comoment):
+            thawed = CpaAccumulator.from_state(acc.state())
+            assert thawed.kind == acc.kind
+            np.testing.assert_array_equal(
+                thawed.result().correlations, acc.result().correlations
+            )
+
+    def test_state_without_a_kind_thaws_as_comoment(self):
+        acc = CpaAccumulator.from_state(PRE_PARTITION_STATE)
+        assert acc.kind == COMOMENT and acc.n_traces == 3
+        # 1 / sqrt(2 * 1.5) and -2 / sqrt(8 * 1.5)
+        np.testing.assert_allclose(
+            acc.result().correlations, [[1 / 3**0.5], [-1 / 3**0.5]], rtol=1e-15
+        )
+        with pytest.raises(StatisticKindMismatch):
+            acc.require_kind(PARTITION)
+
+    def test_pickle_without_a_kind_thaws_as_comoment(self):
+        # The object layout checkpoints pickled before the partition kind.
+        legacy = CpaAccumulator.__new__(CpaAccumulator)
+        legacy.__dict__.update(
+            guesses=PRE_PARTITION_STATE["guesses"],
+            _corr=OnlineCorrAccumulator.from_state(PRE_PARTITION_STATE["corr"]),
+        )
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert restored.kind == COMOMENT and restored.n_traces == 3
+        assert restored.state()["kind"] == COMOMENT

@@ -3,10 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.backends import fork_available
+from repro.campaigns.accumulators import (
+    CpaAccumulator,
+    CpaBudgetSnapshots,
+    OnlineCorrAccumulator,
+    StatisticKindMismatch,
+)
+from repro.campaigns.checkpoint import CheckpointMismatch, CheckpointStore, Checkpointer
+from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import SboxCpaBudgetFold
+from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.ablations import ablate_operand_swap
-from repro.experiments.figure3 import run_figure3
+from repro.experiments.figure3 import figure3_scope, run_figure3
 from repro.experiments.table2 import run_table2
+from repro.power.acquisition import random_inputs
 from repro.power.scope import ScopeConfig
+from repro.sca.models import hw_sbox_class_model
 
 #: Low-noise scope so reduced-trace streamed attacks stay decisive.
 _FAST_SCOPE = ScopeConfig(noise_sigma=20.0, n_averages=16, quantize_bits=8)
@@ -51,3 +64,115 @@ class TestStreamedAblations:
     def test_operand_swap_demonstrated_chunked(self):
         result = ablate_operand_swap(n_traces=800, chunk_size=300)
         assert result.demonstrated
+
+
+class _Killed(Exception):
+    """Stands in for a kill landing right after a checkpoint commit."""
+
+
+def _f32_figure3(**kwargs):
+    return run_figure3(n_traces=240, chunk_size=60, precision="float32", **kwargs)
+
+
+class TestFigure3FoldPaths:
+    """The three streamed figure3 folds — parent stream, worker reduction
+    and checkpoint resume — all fold partition sums in chunk order, so
+    their correlations are byte-equal; the monolithic two-pass CPA is
+    the oracle they agree with."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return _f32_figure3()
+
+    @pytest.mark.parametrize(
+        "backend, jobs",
+        [
+            ("serial", 1),
+            pytest.param(
+                "fork",
+                2,
+                marks=pytest.mark.skipif(not fork_available(), reason="fork unavailable"),
+            ),
+        ],
+    )
+    def test_worker_reduction_is_byte_equal(self, serial, backend, jobs):
+        reduced = _f32_figure3(reduce="worker", backend=backend, jobs=jobs)
+        assert reduced.cpa.correlations.tobytes() == serial.cpa.correlations.tobytes()
+
+    def test_killed_then_resumed_checkpoint_is_byte_equal(self, serial, tmp_path, monkeypatch):
+        commit = Checkpointer.chunk_done
+
+        def commit_then_die(self, index):
+            commit(self, index)
+            if len(self.completed) == 2:
+                raise _Killed
+
+        monkeypatch.setattr(Checkpointer, "chunk_done", commit_then_die)
+        with pytest.raises(_Killed):
+            _f32_figure3(checkpoint=str(tmp_path))
+        monkeypatch.undo()
+        record = CheckpointStore(str(tmp_path)).load()
+        assert record["completed"] == [0, 1] and not record["complete"]
+        resumed = _f32_figure3(checkpoint=str(tmp_path), resume=True)
+        assert resumed.cpa.correlations.tobytes() == serial.cpa.correlations.tobytes()
+
+    def test_streamed_matches_the_monolithic_oracle(self, serial):
+        monolithic = run_figure3(n_traces=240, precision="float32")
+        np.testing.assert_allclose(
+            serial.cpa.correlations, monolithic.cpa.correlations, rtol=0, atol=1e-10
+        )
+        key_byte = serial.true_key_byte
+        assert serial.cpa.rank_of(key_byte) == monolithic.cpa.rank_of(key_byte)
+        assert np.argmax(np.abs(serial.timecourse)) == np.argmax(
+            np.abs(monolithic.timecourse)
+        )
+
+    @pytest.mark.parametrize("reduce", [None, "worker"])
+    def test_resuming_a_comoment_checkpoint_is_refused(self, tmp_path, reduce):
+        _f32_figure3(checkpoint=str(tmp_path), reduce=reduce)
+        store = CheckpointStore(str(tmp_path))
+        record = store.load()
+        # Swap in co-moment statistics in the layout a checkpoint written
+        # before the partition fold holds: a pickled accumulator with a
+        # bare ``_corr`` (parent stream) or a kind-less state dict (worker).
+        rng = np.random.default_rng(0)
+        corr = OnlineCorrAccumulator()
+        corr.update(rng.normal(size=(4, 256)), rng.normal(size=(4, 3)))
+        guesses = np.arange(256)
+        if reduce is None:
+            legacy = CpaAccumulator.__new__(CpaAccumulator)
+            legacy.__dict__.update(guesses=guesses, _corr=corr)
+            record["state"] = legacy
+        else:
+            record["state"] = {"guesses": guesses, "corr": corr.state()}
+        store.save(record)
+        with pytest.raises(CheckpointMismatch, match=str(tmp_path)):
+            _f32_figure3(checkpoint=str(tmp_path), resume=True, reduce=reduce)
+
+
+class TestBudgetFoldReduction:
+    def test_worker_budget_snapshots_are_byte_equal_to_the_stream(self):
+        key = bytes(range(16))
+        inputs = random_inputs(240, mem_blocks={LAYOUT.state: 16}, seed=3)
+        engine = StreamingCampaign(
+            round1_only_program(key),
+            scope=figure3_scope("float32"),
+            entry="aes_round1",
+            seed=5,
+            chunk_size=70,
+        )
+        budgets = (50, 140, 240)
+        serial = CpaBudgetSnapshots(budgets)
+        for chunk in engine.stream(inputs):
+            plaintexts = inputs.mem_bytes[LAYOUT.state][chunk.start : chunk.stop]
+            serial.update(chunk.traces, hw_sbox_class_model(plaintexts, 0))
+        fold = SboxCpaBudgetFold(byte_index=0, budgets=budgets)
+        reduced = engine.reduce(inputs, fold, backend="serial").value
+        assert [r.n_traces for r in reduced.results] == list(budgets)
+        for ours, theirs in zip(reduced.results, serial.results):
+            assert ours.correlations.tobytes() == theirs.correlations.tobytes()
+        # A co-moment (pre-partition) frozen state never thaws into it.
+        comoment = CpaBudgetSnapshots(budgets)
+        comoment.update(np.ones((3, 2)) + np.eye(3, 2), lambda guess: np.arange(3.0) * guess)
+        with pytest.raises(StatisticKindMismatch):
+            fold.thaw(fold.freeze(comoment))
