@@ -550,7 +550,9 @@ def bench_comms(
             pass
 
     def reduce_run(backend, jobs):
-        return engine.reduce(inputs, cpa_fold, jobs=jobs, backend=backend)
+        return engine.reduce(
+            inputs, cpa_fold, jobs=jobs, backend=backend, reduce="worker"
+        )
 
     out = {
         "n_traces": n_traces,

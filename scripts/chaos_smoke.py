@@ -7,11 +7,13 @@ Three stories, each compared against the same clean serial reference:
 2. **hang-then-timeout** — a worker that sleeps far past the watchdog
    deadline once, detected by the timeout, pool rebuilt, chunk
    re-dispatched;
-3. **kill-then-resume** — a checkpointing campaign SIGKILLed mid-stream
-   in a subprocess, resumed here from its checkpoint.
+3. **kill-then-resume** — a checkpointing fold (per-sample trace
+   mean/variance through ``StreamingCampaign.reduce``) SIGKILLed
+   mid-campaign in a subprocess, resumed here from its checkpoint.
 
 Every recovered run must serialize to JSON byte-identical to the clean
-run; each scenario's structured fault report is written to the ``--out``
+run (the traces, or the folded statistics for the checkpointed fold);
+each scenario's structured fault report is written to the ``--out``
 path so CI can upload it as an artifact.
 
 Usage: PYTHONPATH=src python scripts/chaos_smoke.py [--out chaos_report.json]
@@ -36,6 +38,7 @@ from repro.backends.faults import FlakyTransform, HangingTransform
 from repro.backends.resilience import RetryPolicy, clear_quarantine, collecting_faults
 from repro.campaigns.checkpoint import Checkpointer
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import TraceMeanVarFold
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
 from repro.power.acquisition import random_inputs
@@ -88,12 +91,34 @@ def summarize(chunks: dict[int, np.ndarray]) -> str:
     )
 
 
+def summarize_fold(mean_var) -> str:
+    """The folded trace mean/variance as one canonical JSON string."""
+    state = mean_var.state()
+    return json.dumps(
+        {
+            "n": state["n"],
+            "mean_sha256": hashlib.sha256(state["mean"].tobytes()).hexdigest(),
+            "m2_sha256": hashlib.sha256(state["m2"].tobytes()).hexdigest(),
+        },
+        sort_keys=True,
+    )
+
+
 def stream_chunks(engine, inputs, **kwargs) -> dict[int, np.ndarray]:
-    chunks: dict[int, np.ndarray] = {}
-    for chunk in engine.stream(inputs, chunk_size=CHUNK_SIZE, **kwargs):
-        if not chunk.replayed:
-            chunks[chunk.index] = chunk.traces
-    return chunks
+    return {
+        chunk.index: chunk.traces
+        for chunk in engine.stream(inputs, chunk_size=CHUNK_SIZE, **kwargs)
+    }
+
+
+def reduce_mean_var(checkpointer=None):
+    """The checkpointed fold the kill-then-resume story interrupts."""
+    return make_engine().reduce(
+        make_inputs(),
+        TraceMeanVarFold(),
+        chunk_size=CHUNK_SIZE,
+        checkpoint=checkpointer,
+    ).value
 
 
 def scenario_flaky(clean: str, workdir: str, backend: str) -> dict:
@@ -140,20 +165,21 @@ KILL_DRIVER = textwrap.dedent(
     spec.loader.exec_module(chaos)
     from repro.campaigns.checkpoint import Checkpointer
 
-    state = {}
-    checkpointer = Checkpointer(sys.argv[1], state_fn=lambda: dict(state))
-    for chunk in chaos.make_engine().stream(
-        chaos.make_inputs(), chunk_size=chaos.CHUNK_SIZE, checkpoint=checkpointer
-    ):
-        state[chunk.index] = chunk.traces
-        if len(state) == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
+
+    class KilledAfterTwoCommits(Checkpointer):
+        def chunk_done(self, index):
+            super().chunk_done(index)
+            if len(self.completed) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+
+    chaos.reduce_mean_var(KilledAfterTwoCommits(sys.argv[1]))
     raise SystemExit("the kill never landed")
     """
 )
 
 
-def scenario_kill_resume(clean: str, workdir: str) -> dict:
+def scenario_kill_resume(workdir: str) -> dict:
     ckpt = os.path.join(workdir, "ckpt")
     driver = os.path.join(workdir, "kill_driver.py")
     with open(driver, "w") as handle:
@@ -166,21 +192,11 @@ def scenario_kill_resume(clean: str, workdir: str) -> dict:
         f"driver exited {proc.returncode}, expected SIGKILL"
     )
 
-    restored: dict[int, np.ndarray] = {}
+    clean = summarize_fold(reduce_mean_var())
     with collecting_faults() as report:
-        checkpointer = Checkpointer(
-            ckpt,
-            state_fn=lambda: dict(restored),
-            restore_fn=lambda saved: restored.update(saved),
-            resume=True,
-        )
-        for chunk in make_engine().stream(
-            make_inputs(), chunk_size=CHUNK_SIZE, checkpoint=checkpointer
-        ):
-            if not chunk.replayed:
-                restored[chunk.index] = chunk.traces
-    assert checkpointer.resumed_from >= 1, "nothing was resumed from the checkpoint"
-    recovered = summarize(restored)
+        checkpointer = Checkpointer(ckpt, resume=True)
+        recovered = summarize_fold(reduce_mean_var(checkpointer))
+    assert checkpointer.resumed_from == 2, "the two committed chunks were not resumed"
     assert recovered == clean, f"resumed run diverged:\n{recovered}\n{clean}"
     return report.to_json()
 
@@ -203,7 +219,7 @@ def main(argv=None) -> int:
         reports["hang_then_timeout"] = scenario_hang(clean, workdir, backend)
         print("hang-then-timeout: recovered byte-identical")
         clear_quarantine()
-        reports["kill_then_resume"] = scenario_kill_resume(clean, workdir)
+        reports["kill_then_resume"] = scenario_kill_resume(workdir)
         print("kill-then-resume: recovered byte-identical")
 
     with open(args.out, "w") as handle:

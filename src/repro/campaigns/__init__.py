@@ -8,6 +8,9 @@ The shared acquisition→attack path of every experiment in the repo:
 * :mod:`repro.campaigns.accumulators` — online sufficient statistics
   (Pearson, SNR, Welch-t, CPA) that fold chunks into the same results
   the monolithic two-pass code produces;
+* :mod:`repro.campaigns.reduction` — :class:`ChunkFold`, the one way
+  drivers hand the engine a statistic (merged in chunk order, in the
+  parent or worker-side);
 * :mod:`repro.campaigns.checkpoint` — atomic, versioned
   checkpoint/resume state for killed-and-restarted campaigns;
 * :mod:`repro.campaigns.registry` — the declarative scenario registry

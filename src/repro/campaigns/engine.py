@@ -5,14 +5,18 @@ driver runs through.  It compiles a program's pipeline/leakage schedule
 once (consulting a process-wide cache shared across campaigns on the
 same program), then yields traces in fixed-size chunks: each chunk is a
 full :class:`~repro.power.acquisition.TraceSet` over a slice of the
-inputs, produced by the vectorized executor and the oscilloscope chain
-with a chunk-indexed noise seed.
+inputs, replayed by the compiled trace tape (:mod:`repro.isa.vtrace`),
+evaluated against the leakage schedule and captured by the oscilloscope
+chain with a chunk-indexed noise seed (float64-exact) or counter range
+(float32).  :meth:`StreamingCampaign.reduce` folds those chunks into a
+statistic through a :class:`~repro.campaigns.reduction.ChunkFold` — the
+one path drivers compute statistics through, checkpoints included.
 
 Properties the rest of the stack builds on:
 
-* **constant memory** — the trace matrix, the vectorized executor's
-  page store and the value table all scale with the chunk, never with
-  the campaign, so campaign size is unbounded;
+* **constant memory** — the trace matrix, the tape's page buffers and
+  the value table all scale with the chunk, never with the campaign,
+  so campaign size is unbounded;
 * **reproducibility** — chunk ``i`` uses
   ``derive_seed(campaign_seed, i)``, so a campaign is a pure function of
   ``(seed, chunk_size)`` regardless of worker count or acquisition
@@ -32,7 +36,7 @@ import hashlib
 import pickle
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -102,18 +106,11 @@ def clear_schedule_cache() -> None:
 
 @dataclass
 class TraceChunk:
-    """One streamed slice of a campaign: a TraceSet plus its offset.
-
-    ``replayed`` marks a chunk re-yielded from an already-complete
-    checkpointed run: its statistics are part of the restored state, so
-    drivers must *not* fold it again — it exists only so they still see
-    a final chunk's trace-set metadata (schedule, table, path).
-    """
+    """One streamed slice of a campaign: a TraceSet plus its offset."""
 
     start: int
     index: int
     trace_set: TraceSet
-    replayed: bool = field(default=False, compare=False)
 
     @property
     def traces(self) -> np.ndarray:
@@ -256,7 +253,6 @@ class StreamingCampaign:
         backend: str | ExecutionBackend | None = None,
         retry: RetryPolicy | int | None = None,
         chunk_timeout: float | None = None,
-        checkpoint: Checkpointer | None = None,
         transport: str | None = None,
     ) -> Iterator[TraceChunk]:
         """Yield the campaign as ordered, seed-stable trace chunks.
@@ -284,7 +280,7 @@ class StreamingCampaign:
         :class:`~repro.backends.BackendDegradationWarning` — never
         silently — when no parallel backend is usable.
 
-        The resilience knobs (see ``docs/resilience.md``) are all off by
+        The resilience knobs (see ``docs/resilience.md``) are off by
         default, in which case the historical dispatch paths run
         untouched:
 
@@ -300,15 +296,12 @@ class StreamingCampaign:
           budget on timeouts is quarantined; under ``auto`` the stream
           then falls down the ``pool -> fork -> spawn -> serial``
           degradation ladder instead of failing.
-        * ``checkpoint`` — a
-          :class:`~repro.campaigns.checkpoint.Checkpointer`; completed
-          chunk ranges (plus the driver's accumulator state) persist
-          across kills and ``resume`` re-acquires only missing chunks.
 
-        Any of them also enables per-chunk result validation
+        Either also enables per-chunk result validation
         (shape/dtype/finiteness on rewrap, rejected chunks raise
         :class:`~repro.backends.ChunkCorruption` and count as retryable
-        failures).
+        failures).  Checkpoint/resume is a property of a fold, not of a
+        raw stream: see :meth:`reduce`.
         """
         if transport not in (None, "pickle", "shm"):
             raise ValueError(
@@ -322,7 +315,6 @@ class StreamingCampaign:
             power_transform_factory,
             retry,
             chunk_timeout,
-            checkpoint,
         )
         codec = None
         if transport == "shm" and jobs > 1 and len(tasks) > 1:
@@ -342,56 +334,15 @@ class StreamingCampaign:
                     BackendDegradationWarning,
                     stacklevel=2,
                 )
-        run_tasks = tasks
-        replay_last = False
-        if checkpoint is not None:
-            fingerprint = self._stream_fingerprint(inputs, bounds)
-            completed = checkpoint.begin(fingerprint, n_chunks=len(tasks))
-            run_tasks = [task for task in tasks if task.index not in completed]
-            if not run_tasks and tasks:
-                # Everything was already committed: re-acquire the last
-                # chunk (pure function of its range, so free of side
-                # effects on the statistics) and yield it flagged
-                # ``replayed`` so drivers still see final-chunk metadata
-                # without double-folding.
-                run_tasks = [tasks[-1]]
-                replay_last = True
         policy = backend if backend is not None else self.backend
-        path, schedule, leakage = compiled
         try:
             for index, lo, payload in self._dispatch(
-                context,
-                run_tasks,
-                policy=policy,
-                jobs=jobs,
-                checkpoint=checkpoint,
-                replay_last=replay_last,
+                context, tasks, policy=policy, jobs=jobs
             ):
-                if hasattr(payload, "materialize"):
-                    # shm descriptor: attach, unlink, wrap zero-copy
-                    # (cached — validation may have attached already).
-                    payload = payload.materialize()
-                if isinstance(payload, TraceSet):
-                    # Rare: the chunk recompiled against a different path
-                    # (data-dependent branch direction), or the backend
-                    # ships whole trace sets; take it as-is.
-                    trace_set = payload
-                else:
-                    # Common case: the worker's schedule matches the
-                    # parent's compiled triple, so only the per-chunk
-                    # data crossed the pipe; rewrap with shared objects.
-                    traces, table, power = payload
-                    trace_set = TraceSet(
-                        traces=traces,
-                        inputs=inputs.slice(lo, lo + traces.shape[0]),
-                        schedule=schedule,
-                        leakage=leakage,
-                        table=table,
-                        path=path,
-                        power=power,
-                    )
                 yield TraceChunk(
-                    start=lo, index=index, trace_set=trace_set, replayed=replay_last
+                    start=lo,
+                    index=index,
+                    trace_set=self._rewrap(payload, inputs, lo, compiled),
                 )
         finally:
             if codec is not None:
@@ -413,35 +364,48 @@ class StreamingCampaign:
         retry: RetryPolicy | int | None = None,
         chunk_timeout: float | None = None,
         checkpoint: Checkpointer | None = None,
+        reduce: str | None = None,
     ):
-        """Run the campaign comms-avoidingly: fold worker-side, merge states.
+        """Fold the campaign's chunks into one accumulator, in chunk order.
 
         ``fold`` is a :class:`~repro.campaigns.reduction.ChunkFold`.
-        Each worker folds its chunk into a fresh accumulator and ships
-        only the accumulator's compact sufficient-statistic state; the
-        parent merges the states **in chunk order**, which keeps the
-        merged result byte-identical to the serial fold (and keeps
-        budget snapshots chunk-aligned).  Raw traces never cross the
-        process boundary — statistics-only campaigns shrink their IPC
-        by orders of magnitude (see ``BENCH_comms.json``).
+        Every chunk is folded into a fresh per-chunk state
+        (``fold_chunk``) and the states are merged **in chunk order**
+        (``merge_state``), which keeps the result byte-identical to the
+        serial fold whatever the chunking layout of the work.  A
+        campaign without ``chunk_size`` is the single-chunk case.
+
+        ``reduce`` only decides *where* ``fold_chunk`` runs — the fold
+        and therefore the bytes are the same either way:
+
+        * ``"parent"`` (the default, also ``None``) ships raw chunks and
+          folds them here;
+        * ``"worker"`` folds each chunk where it was acquired and ships
+          only its compact sufficient-statistic state, so raw traces
+          never cross the process boundary (see ``BENCH_comms.json``).
 
         The resilience knobs behave exactly as for :meth:`stream`;
-        per-chunk validation inspects the fold states (finiteness) and a
+        worker-side validation inspects fold states (finiteness), and a
         retried chunk recomputes its state from scratch, so a recovered
         campaign merges each chunk exactly once.  With a ``checkpoint``,
-        the *merged* accumulator state persists after every folded chunk
+        the *merged* accumulator state persists after every merged chunk
         (the checkpoint's ``state_fn``/``restore_fn`` default to the
         fold's ``freeze``/``thaw``); a resumed run re-acquires only
-        missing chunks and merges them onto the restored state.
+        missing chunks and merges them onto the restored state, and a
+        fully complete one dispatches nothing.
 
         Returns a :class:`~repro.campaigns.reduction.ReducedCampaign`
         whose ``value`` is the merged accumulator and whose
         ``trace_set`` is a zero-row metadata trace set over the
         compiled schedule.
         """
-        from repro.campaigns.checkpoint import checkpoint_fingerprint as _fp
-        from repro.campaigns.reduction import FoldCodec, ReducedCampaign
+        from repro.campaigns.reduction import (
+            FoldCodec,
+            ReducedCampaign,
+            check_reduce_mode,
+        )
 
+        worker = check_reduce_mode(reduce) == "worker"
         bounds, jobs, compiled, tasks, context = self._prepare(
             inputs,
             chunk_size,
@@ -451,9 +415,10 @@ class StreamingCampaign:
             retry,
             chunk_timeout,
             checkpoint,
-            validator=self._state_validator(),
+            validator=self._state_validator() if worker else None,
         )
-        context.codec = FoldCodec(fold)
+        if worker:
+            context.codec = FoldCodec(fold)
         holder = {"acc": fold.create()}
         run_tasks = tasks
         if checkpoint is not None:
@@ -463,7 +428,7 @@ class StreamingCampaign:
                 checkpoint.restore_fn = lambda frozen: holder.__setitem__(
                     "acc", fold.thaw(frozen)
                 )
-            fingerprint = _fp(
+            fingerprint = checkpoint_fingerprint(
                 (
                     "repro.reduce/1",
                     self._stream_fingerprint(inputs, bounds),
@@ -474,10 +439,15 @@ class StreamingCampaign:
             run_tasks = [task for task in tasks if task.index not in completed]
         by_index = {task.index: task for task in tasks}
         policy = backend if backend is not None else self.backend
-        for index, _lo, state in self._dispatch(
+        for index, lo, payload in self._dispatch(
             context, run_tasks, policy=policy, jobs=jobs, checkpoint=checkpoint
         ):
-            holder["acc"] = fold.merge_state(holder["acc"], by_index[index], state)
+            task = by_index[index]
+            if not worker:
+                payload = fold.fold_chunk(
+                    task, self._rewrap(payload, inputs, lo, compiled)
+                )
+            holder["acc"] = fold.merge_state(holder["acc"], task, payload)
         path, schedule, leakage = compiled
         meta = TraceSet(
             traces=np.empty((0, leakage.n_samples), dtype=np.float32),
@@ -496,6 +466,32 @@ class StreamingCampaign:
             backend={"policy": getattr(policy, "name", policy) or "auto", "jobs": jobs},
         )
 
+    @staticmethod
+    def _rewrap(payload, inputs: BatchInputs, lo: int, compiled) -> TraceSet:
+        """One dispatched raw chunk payload as a full :class:`TraceSet`."""
+        if hasattr(payload, "materialize"):
+            # shm descriptor: attach, unlink, wrap zero-copy (cached —
+            # validation may have attached already).
+            payload = payload.materialize()
+        if isinstance(payload, TraceSet):
+            # The serial backend, or a chunk that recompiled against a
+            # different path (data-dependent branch direction): as-is.
+            return payload
+        # Common case: the worker's schedule matches the parent's
+        # compiled triple, so only the per-chunk data crossed the pipe;
+        # rewrap with shared objects.
+        traces, table, power = payload
+        path, schedule, leakage = compiled
+        return TraceSet(
+            traces=traces,
+            inputs=inputs.slice(lo, lo + traces.shape[0]),
+            schedule=schedule,
+            leakage=leakage,
+            table=table,
+            path=path,
+            power=power,
+        )
+
     def _prepare(
         self,
         inputs: BatchInputs,
@@ -505,7 +501,7 @@ class StreamingCampaign:
         power_transform_factory,
         retry,
         chunk_timeout,
-        checkpoint,
+        checkpoint: Checkpointer | None = None,
         validator: Callable | None = None,
     ):
         """The shared stream/reduce prelude: compile, calibrate, build tasks."""
@@ -566,7 +562,6 @@ class StreamingCampaign:
         policy,
         jobs: int,
         checkpoint: Checkpointer | None = None,
-        replay_last: bool = False,
     ):
         """Resolve the backend and stream ``(index, lo, payload)`` results.
 
@@ -591,7 +586,7 @@ class StreamingCampaign:
                     for index, lo, payload in resolved.map_chunks(context, pending):
                         yield index, lo, payload
                         delivered.add(index)
-                        if checkpoint is not None and not replay_last:
+                        if checkpoint is not None:
                             checkpoint.chunk_done(index)
                     pending = []
                 except BackendBroken as error:
@@ -809,8 +804,11 @@ class StreamingCampaign:
         leading-trace power — the same rule a monolithic float32
         capture applies internally — and pins it on the inner campaign.
 
-        Monolithic float64-exact runs (a single chunk) are left alone:
-        their per-capture auto-range is part of the bit-exact contract.
+        Single-chunk streams are left alone: the lone capture
+        self-calibrates from the same leading traces (float32), or keeps
+        the per-capture auto-range that is part of the float64-exact
+        bit-exact contract — either way a separate pass would only
+        repeat work.
         """
         campaign = self._campaign
         config = campaign.scope_config
@@ -818,7 +816,7 @@ class StreamingCampaign:
             return
         if campaign.pinned_full_scale is not None:
             return
-        if campaign.precision != "float32" and len(bounds) <= 1:
+        if len(bounds) <= 1:
             return
         compiled = self.compiled(inputs)
         k = min(config.calibration_traces, inputs.n_traces)

@@ -1,27 +1,29 @@
-"""Comms-avoiding worker-side reduction for streamed campaigns.
+"""Chunk folds: how a campaign's statistics fold, chunk by chunk.
 
-The default chunk transport ships every chunk's full
-``[n_chunk, n_samples]`` trace block back to the parent, which folds it
-into online accumulators — O(traces) IPC for an answer that is a
-function of O(samples x hypotheses) sufficient statistics.  A
-:class:`ChunkFold` inverts that: the *worker* folds its chunk into a
-fresh accumulator and ships only the accumulator's compact
-``state()`` dict; the parent merges the states **in chunk order**.
+A :class:`ChunkFold` is what a driver hands
+:meth:`~repro.campaigns.engine.StreamingCampaign.reduce`: every chunk
+folds into a fresh accumulator whose compact ``state()`` dict the
+engine merges into the running one **in chunk order**.  Where the
+per-chunk fold runs is the ``reduce`` knob — in the parent on the raw
+chunk (``"parent"``, the default), or in the worker (``"worker"``), so
+that only the state crosses the process boundary instead of the
+O(traces) trace block.  The fold, and therefore every output byte, is
+the same either way.
 
 Why chunk order matters: merging a single-chunk accumulator replays
 exactly the combine step ``update`` would have run on that chunk (the
 state carries precisely the chunk moments ``update`` computes), so a
-parent-side merge chain over per-chunk states is *bit-identical* to the
-serial fold — but only for the serial association
-``((c0 + c1) + c2) + c3``.  Workers therefore never pre-merge
-neighbouring chunks; they return one state per chunk and the parent
-owns the fold order.
+merge chain over per-chunk states is *bit-identical* to the serial
+fold — but only for the serial association ``((c0 + c1) + c2) + c3``.
+Workers therefore never pre-merge neighbouring chunks; they return one
+state per chunk and the parent owns the fold order.
 
-:class:`FoldCodec` is the transport half: a picklable object installed
-on the :class:`~repro.backends.base.BackendContext` that backends call
-worker-side to encode a chunk's :class:`~repro.power.acquisition.TraceSet`
-into its fold state before it crosses the process boundary.  See
-``docs/backends.md`` ("Reduction modes") for the full contract.
+:class:`FoldCodec` is the worker-side transport half: a picklable
+object installed on the :class:`~repro.backends.base.BackendContext`
+that backends call to encode a chunk's
+:class:`~repro.power.acquisition.TraceSet` into its fold state before it
+crosses the process boundary.  See ``docs/backends.md`` ("Reduction
+modes") for the full contract.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.request import REDUCE_MODES
 from repro.backends.base import ChunkTask
 from repro.campaigns.accumulators import (
     PARTITION,
@@ -46,6 +49,20 @@ from repro.sca.ttest import TVLA_THRESHOLD
 #: low/high Hamming-weight tails of an 8-bit intermediate (HW == 4 is
 #: dropped), matching :data:`repro.sweeps.metrics.T_SPLIT`.
 HW_T_SPLIT = (3, 5)
+
+
+def check_reduce_mode(reduce: str | None) -> str:
+    """The ``reduce`` knob normalized (``None`` is ``"parent"``).
+
+    The mode picks where
+    :meth:`~repro.campaigns.engine.StreamingCampaign.reduce` runs
+    ``fold_chunk``: in the parent on raw chunks, or in the worker.
+    """
+    if reduce is None:
+        return "parent"
+    if reduce not in REDUCE_MODES:
+        raise ValueError(f"reduce must be one of {REDUCE_MODES}, got {reduce!r}")
+    return reduce
 
 
 class ChunkFold(abc.ABC):
@@ -129,13 +146,12 @@ class TraceMeanVarFold(ChunkFold):
 
 @dataclass(frozen=True)
 class SboxCpaFold(ChunkFold):
-    """Figure 3's 256-guess HW(SubBytes out) CPA, folded worker-side.
+    """Figure 3's 256-guess HW(SubBytes out) CPA, as a chunk fold.
 
-    Reproduces the parent-side fold byte for byte: each chunk's class
-    model is built from the chunk's own plaintext slice (the worker
-    holds exactly that slice as ``trace_set.inputs``), so the per-chunk
-    partition sums equal what the serial fold's ``update`` would have
-    combined.
+    Each chunk's class model is built from the chunk's own plaintext
+    slice (``trace_set.inputs`` holds exactly that slice), so the
+    per-chunk partition sums equal what a serial ``update`` over the
+    whole campaign would have combined.
     """
 
     byte_index: int
@@ -262,8 +278,8 @@ class ReducedCampaign:
     :class:`~repro.campaigns.accumulators.CpaAccumulator`);
     ``trace_set`` is a zero-row *metadata* trace set over the campaign's
     compiled schedule, so drivers that need provenance (sample rate,
-    issue cycles, the executed path) keep working without any trace
-    bytes having crossed a process boundary.
+    issue cycles, the executed path) keep working without holding any
+    trace bytes.
     """
 
     value: Any

@@ -10,7 +10,7 @@ This package generalizes the single hard-wired sweep workload into a
   or a documented YAML subset, no third-party loader) and its expansion
   into (workload x config x scope x budget) cells;
 * :mod:`repro.corpus.store` — the content-addressed artifact store
-  (``repro.artifact/1`` records keyed by ``repro.jobkey/1`` identities);
+  (``repro.artifact/1`` records keyed by ``repro.jobkey/2`` identities);
 * :mod:`repro.corpus.runner` — :class:`~repro.corpus.runner.CorpusCampaign`,
   the per-cell-isolated batch executor with checkpoint/resume;
 * :mod:`repro.corpus.report` — the comparative, leakiest-first

@@ -42,7 +42,7 @@ class CellResult:
     seconds: float
     #: served from the artifact store instead of executed
     cached: bool = False
-    #: the cell's ``repro.jobkey/1`` content address (None on failure)
+    #: the cell's ``repro.jobkey/2`` content address (None on failure)
     key: str | None = None
     error: str | None = None
     n_traces: int | None = None

@@ -30,21 +30,18 @@ measure paired noise realizations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable
-
-import numpy as np
+from dataclasses import replace
+from typing import Any
 
 from repro.api.capabilities import Capability
 from repro.backends import ExecutionBackend, resolve_backend
-from repro.campaigns.reduction import ChunkFold
+from repro.campaigns.reduction import check_reduce_mode
 from repro.corpus.manifest import CorpusCell, Manifest
 from repro.corpus.report import CellResult, CorpusResult, metrics_from_json
 from repro.corpus.store import DEFAULT_STORE_DIR, ArtifactStore, cell_key
 from repro.corpus.workloads import Workload, workload as get_workload
-from repro.power.acquisition import BatchInputs
 from repro.power.scope import ScopeConfig
-from repro.sweeps.metrics import LeakageMetricsFold
+from repro.sweeps.metrics import SweepMetricsFold
 from repro.uarch.config import PipelineConfig
 
 #: Default acquisition chain of a corpus cell (the sweep engine's
@@ -73,50 +70,6 @@ class WorkloadCapabilityError(ValueError):
             f"{knob} (needs {_KNOB_CAPABILITIES[knob].value})" for knob in self.knobs
         )
         super().__init__(f"workload {workload_name!r} does not support: {needed}")
-
-
-@dataclass(frozen=True)
-class CorpusMetricsFold(ChunkFold):
-    """A corpus cell's leakage metrics, folded worker-side.
-
-    The corpus counterpart of the sweep's worker fold: evaluates the
-    workload's model on each chunk's input slice, folds in deferred
-    mode at the chunk's absolute offset, and ships the compact state;
-    the parent's in-order merge reproduces the serial fold bit for bit.
-    Guess *values* need not be byte values (PRESENT attacks nibbles),
-    so the partition label column is the true key's position in the
-    guess list, not the key value itself.
-    """
-
-    model_matrix: Callable[[BatchInputs, int, int], np.ndarray]
-    true_key: int
-    true_key_column: int
-    budgets: tuple
-    guesses: tuple
-    t_split: tuple
-
-    def create(self) -> LeakageMetricsFold:
-        return LeakageMetricsFold(
-            self.budgets, self.true_key, guesses=self.guesses, t_split=self.t_split
-        )
-
-    def fold_chunk(self, task, trace_set) -> dict:
-        models = self.model_matrix(trace_set.inputs, 0, trace_set.traces.shape[0])
-        labels = models[:, self.true_key_column].astype(np.int64)
-        part = LeakageMetricsFold(
-            self.budgets,
-            self.true_key,
-            guesses=self.guesses,
-            t_split=self.t_split,
-            start=task.lo,
-            defer=True,
-        )
-        part.update(trace_set.traces, models, labels)
-        return part.state()
-
-    def merge_state(self, accumulator, task, state):
-        accumulator.merge(LeakageMetricsFold.from_state(state))
-        return accumulator
 
 
 class CorpusCampaign:
@@ -155,10 +108,9 @@ class CorpusCampaign:
         self.precision = precision
         self.retries = retries
         self.chunk_timeout = chunk_timeout
-        if reduce not in (None, "parent", "worker"):
-            raise ValueError(
-                f"reduce must be 'worker', 'parent' or None, got {reduce!r}"
-            )
+        # Checked up front: cells isolate errors, so a bad mode would
+        # otherwise fail every cell one by one.
+        check_reduce_mode(reduce)
         self.reduce = reduce
 
     # -- per-cell negotiation -------------------------------------------
@@ -250,43 +202,21 @@ class CorpusCampaign:
             jobs=self.jobs,
             backend=backend if backend is not None else self.backend,
         )
-        budgets = (n_traces,)
-        resilient = self.retries is not None or self.chunk_timeout is not None
-        if self.reduce == "worker":
-            reduced = engine.reduce(
-                inputs,
-                CorpusMetricsFold(
-                    model_matrix=workload.model_matrix,
-                    true_key=workload.true_key,
-                    true_key_column=workload.true_key_column,
-                    budgets=budgets,
-                    guesses=workload.guesses,
-                    t_split=workload.t_split,
-                ),
-                retry=self.retries,
-                chunk_timeout=self.chunk_timeout,
-            )
-            metrics = reduced.value.result()
-        else:
-            fold = LeakageMetricsFold(
-                budgets,
-                workload.true_key,
+        reduced = engine.reduce(
+            inputs,
+            SweepMetricsFold(
+                model_matrix=workload.model_matrix,
+                true_key=workload.true_key,
+                true_key_column=workload.true_key_column,
+                budgets=(n_traces,),
                 guesses=workload.guesses,
                 t_split=workload.t_split,
-            )
-            if self.chunk_size is None and not resilient and self.jobs <= 1:
-                trace_set = engine.acquire(inputs)
-                models = workload.model_matrix(inputs, 0, n_traces)
-                labels = models[:, workload.true_key_column].astype(np.int64)
-                fold.update(trace_set.traces, models, labels)
-            else:
-                for chunk in engine.stream(
-                    inputs, retry=self.retries, chunk_timeout=self.chunk_timeout
-                ):
-                    models = workload.model_matrix(inputs, chunk.start, chunk.stop)
-                    labels = models[:, workload.true_key_column].astype(np.int64)
-                    fold.update(chunk.traces, models, labels)
-            metrics = fold.result()
+            ),
+            retry=self.retries,
+            chunk_timeout=self.chunk_timeout,
+            reduce=self.reduce,
+        )
+        metrics = reduced.value.result()
         seconds = time.perf_counter() - start
         if self.store is not None:
             self.store.put_cell(

@@ -1,7 +1,7 @@
 """The persistent artifact store: ``repro.artifact/1`` records.
 
 Completed corpus cells are written to disk as content-addressed
-artifacts, keyed by the same deterministic ``repro.jobkey/1`` identity
+artifacts, keyed by the same deterministic ``repro.jobkey/2`` identity
 the leakage-evaluation service uses (:mod:`repro.service.cache`), so a
 re-run of an identical manifest is served entirely from the store and a
 store directory can be shared with a service's result cache without key

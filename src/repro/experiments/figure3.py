@@ -27,16 +27,16 @@ import numpy as np
 
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
-from repro.campaigns.accumulators import PARTITION, CpaAccumulator
+from repro.campaigns.checkpoint import Checkpointer
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import SboxCpaFold
 from repro.campaigns.registry import Scenario, register
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import ascii_plot, render_table, samples_to_microseconds
 from repro.power.acquisition import TraceSet, random_inputs
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import ScopeConfig
-from repro.sca.cpa import CpaResult, cpa_attack
-from repro.sca.models import hw_sbox_class_model, hw_sbox_model
+from repro.sca.cpa import CpaResult
 from repro.sca.stats import significance_threshold
 from repro.uarch.config import PipelineConfig
 
@@ -159,34 +159,30 @@ def run_figure3(
     resume: bool = False,
     reduce: str | None = None,
 ) -> Figure3Result:
-    """Acquire the bare-metal campaign and run the Figure-3 CPA.
+    """Acquire the bare-metal campaign and fold the Figure-3 CPA.
 
-    With ``chunk_size`` set the campaign streams through the engine in
-    bounded memory and the CPA folds per-class trace sums chunk by chunk
-    (the partition-sum CPA of ``docs/performance.md``); the default runs
-    the historical monolithic two-pass path.  Both agree within 1e-10
-    in every correlation, with the same key rank.
+    The CPA is one :class:`~repro.campaigns.reduction.SboxCpaFold`
+    handed to :meth:`StreamingCampaign.reduce`: each chunk folds into
+    per-class trace sums (the partition-sum CPA of
+    ``docs/performance.md``) and the sums merge in chunk order.  Without
+    ``chunk_size`` the campaign is one whole chunk.  Every layout agrees
+    within 1e-10 with the two-pass :func:`~repro.sca.cpa.cpa_attack` on
+    the same traces, with the same key rank (the test oracle).
     ``precision="float32"`` switches the capture chain to the
     counter-based high-throughput mode (ignored if ``scope`` is given).
 
-    The resilience knobs (``retries``, ``chunk_timeout``,
-    ``checkpoint``/``resume``) force the streamed path — retrying,
-    watchdogging and checkpointing all operate per chunk — defaulting to
-    a single whole-campaign chunk when ``chunk_size`` is unset.  With a
-    checkpoint, the CPA accumulator state and the completed chunk set
-    persist after every folded chunk; a killed run restarted with
-    ``resume=True`` re-acquires only the missing chunks and produces
-    byte-identical results (see ``docs/resilience.md``).
+    The execution knobs never change the numbers:
 
-    ``reduce="worker"`` runs the comms-avoiding dispatch: each worker
-    folds its chunk into a CPA accumulator locally and only the compact
-    sufficient-statistic state crosses the process boundary, merged in
-    chunk order — byte-identical to the streamed parent fold, at a
-    fraction of the IPC bytes (see ``BENCH_comms.json``).  The default
-    (``None`` or ``"parent"``) keeps the raw-chunk paths above.
+    * ``retries``/``chunk_timeout`` retry and watchdog each chunk;
+    * ``checkpoint``/``resume`` persist the merged CPA state and the
+      completed chunk set after every folded chunk, so a killed run
+      restarted with ``resume=True`` re-acquires only the missing chunks
+      and produces byte-identical results (see ``docs/resilience.md``);
+    * ``reduce="worker"`` folds each chunk where it was acquired, so
+      only the compact sufficient-statistic state crosses the process
+      boundary (see ``BENCH_comms.json``); the default (``None`` or
+      ``"parent"``) ships raw chunks and folds them in the parent.
     """
-    if reduce not in (None, "parent", "worker"):
-        raise ValueError(f"reduce must be 'parent' or 'worker', got {reduce!r}")
     program = round1_only_program(key)
     inputs = random_inputs(n_traces, mem_blocks={LAYOUT.state: 16}, seed=seed)
     engine = StreamingCampaign(
@@ -202,68 +198,17 @@ def run_figure3(
         jobs=jobs,
         backend=backend,
     )
-    plaintexts = inputs.mem_bytes[LAYOUT.state]
-
-    resilient = retries is not None or chunk_timeout is not None or checkpoint is not None
-    if reduce == "worker":
-        from repro.campaigns.reduction import SboxCpaFold
-
-        checkpointer = None
-        if checkpoint is not None:
-            from repro.campaigns.checkpoint import Checkpointer
-
-            # No state_fn/restore_fn: the engine persists the merged
-            # fold state via the fold's own freeze/thaw.
-            checkpointer = Checkpointer(checkpoint, resume=resume)
-        reduced = engine.reduce(
-            inputs,
-            SboxCpaFold(byte_index=byte_index),
-            retry=retries,
-            chunk_timeout=chunk_timeout,
-            checkpoint=checkpointer,
-        )
-        trace_set = reduced.trace_set
-        cpa = reduced.value.result()
-    elif chunk_size is None and not resilient:
-        trace_set = engine.acquire(inputs)
-        cpa = cpa_attack(
-            trace_set.traces, lambda guess: hw_sbox_model(plaintexts, byte_index, guess)
-        )
-    else:
-        # A mutable holder so checkpoint restore can swap the live
-        # accumulator for the persisted one before streaming resumes.
-        state = {"cpa": CpaAccumulator()}
-        checkpointer = None
-        if checkpoint is not None:
-            from repro.campaigns.checkpoint import Checkpointer
-
-            checkpointer = Checkpointer(
-                checkpoint,
-                state_fn=lambda: state["cpa"],
-                restore_fn=lambda saved: state.__setitem__(
-                    "cpa", saved.require_kind(PARTITION)
-                ),
-                resume=resume,
-            )
-        trace_set = None
-        for chunk in engine.stream(
-            inputs,
-            retry=retries,
-            chunk_timeout=chunk_timeout,
-            checkpoint=checkpointer,
-        ):
-            trace_set = chunk.trace_set
-            if chunk.replayed:
-                # A fully-checkpointed run replays its last chunk for
-                # metadata only; its statistics are already in the
-                # restored accumulator.
-                continue
-            state["cpa"].update(
-                chunk.traces,
-                hw_sbox_class_model(plaintexts[chunk.start : chunk.stop], byte_index),
-            )
-        assert trace_set is not None
-        cpa = state["cpa"].result()
+    checkpointer = None if checkpoint is None else Checkpointer(checkpoint, resume=resume)
+    reduced = engine.reduce(
+        inputs,
+        SboxCpaFold(byte_index=byte_index),
+        retry=retries,
+        chunk_timeout=chunk_timeout,
+        checkpoint=checkpointer,
+        reduce=reduce,
+    )
+    trace_set = reduced.trace_set
+    cpa = reduced.value.result()
     segments = _segment_map(trace_set, program)
     threshold = significance_threshold(n_traces, confidence=0.995)
     timecourse = cpa.timecourse(key[byte_index])

@@ -37,7 +37,7 @@ from typing import Any
 from repro.service.queue import atomic_write_text
 
 #: Versioned key-material schema: bump to invalidate every cached entry.
-KEY_SCHEMA = "repro.jobkey/1"
+KEY_SCHEMA = "repro.jobkey/2"
 
 #: Resolved request knobs that can change the result envelope.
 RESULT_KNOBS = ("n_traces", "reps", "seed", "precision", "grid")

@@ -9,9 +9,10 @@ whose structural config (``PipelineConfig.identity()``) matches: a grid
 that also sweeps acquisition knobs (``scope.noise_sigma``) or renamed
 variants compiles each distinct pipeline exactly once.
 
-Each point is scored by :class:`~repro.sweeps.metrics.LeakageMetricsFold`
-(CPA key margin, max Welch-t, partition SNR at every requested trace
-budget, one pass).  Every point uses the *same* campaign seed, so all
+Each point is scored by one :class:`~repro.sweeps.metrics.SweepMetricsFold`
+handed to :meth:`~repro.campaigns.engine.StreamingCampaign.reduce` (CPA
+key margin, max Welch-t, partition SNR at every requested trace budget,
+one pass).  Every point uses the *same* campaign seed, so all
 points measure paired noise realizations and their metric differences
 isolate the configuration change.
 
@@ -36,14 +37,13 @@ import numpy as np
 
 from repro.backends import ExecutionBackend, resolve_backend
 from repro.campaigns.engine import StreamingCampaign, schedule_cache_info
-from repro.campaigns.reduction import ChunkFold
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import render_table
 from repro.power.acquisition import BatchInputs, random_inputs
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import ScopeConfig
 from repro.sca.models import hw_sbox_matrix
-from repro.sweeps.metrics import LeakageMetricsFold, PointMetrics
+from repro.sweeps.metrics import PointMetrics, SweepMetricsFold
 from repro.sweeps.spec import SweepPoint, SweepSpec
 
 #: The AES-128 key every sweep workload attacks (the FIPS-197 vector,
@@ -101,38 +101,6 @@ def aes_round1_workload(
         true_key=key[byte_index],
         entry="aes_round1",
     )
-
-
-@dataclass(frozen=True)
-class SweepMetricsFold(ChunkFold):
-    """A sweep point's leakage metrics, folded worker-side.
-
-    Each chunk's model matrix is evaluated against the chunk's own
-    input slice (value-identical to slicing the full batch), folded in
-    deferred mode, and shipped as a compact state; the parent's in-order
-    merge reproduces the serial :class:`LeakageMetricsFold` stream —
-    budget snapshots included — bit for bit.
-    """
-
-    model_matrix: Callable[[BatchInputs, int, int], np.ndarray]
-    true_key: int
-    budgets: tuple
-
-    def create(self) -> LeakageMetricsFold:
-        return LeakageMetricsFold(self.budgets, self.true_key)
-
-    def fold_chunk(self, task, trace_set) -> dict:
-        models = self.model_matrix(trace_set.inputs, 0, trace_set.traces.shape[0])
-        labels = models[:, self.true_key].astype(np.int64)
-        part = LeakageMetricsFold(
-            self.budgets, self.true_key, start=task.lo, defer=True
-        )
-        part.update(trace_set.traces, models, labels)
-        return part.state()
-
-    def merge_state(self, accumulator, task, state):
-        accumulator.merge(LeakageMetricsFold.from_state(state))
-        return accumulator
 
 
 @dataclass(frozen=True)
@@ -349,19 +317,13 @@ class SweepCampaign:
         #: backend policy for the point fan-out ("auto"/"serial"/... or
         #: a live :class:`~repro.backends.ExecutionBackend` to reuse)
         self.backend = backend
-        #: per-chunk retry budget inside each point's campaign (forces
-        #: the streamed path; see :mod:`repro.backends.resilience`)
+        #: per-chunk retry budget inside each point's campaign (see
+        #: :mod:`repro.backends.resilience`)
         self.retries = retries
         #: soft per-chunk watchdog deadline inside each point's campaign
         self.chunk_timeout = chunk_timeout
-        if reduce not in (None, "parent", "worker"):
-            raise ValueError(
-                f"reduce must be 'worker', 'parent' or None, got {reduce!r}"
-            )
-        #: ``"worker"`` folds each point's chunks into sufficient
-        #: statistics where they were acquired (comms-avoiding; see
-        #: ``docs/backends.md``); ``"parent"``/``None`` keeps the
-        #: historical parent-side fold.  Results are bit-identical.
+        #: where each point's chunks fold (``"parent"``/``None`` or
+        #: ``"worker"``; see ``docs/backends.md``) — bit-identical results
         self.reduce = reduce
 
     def __getstate__(self):
@@ -388,43 +350,21 @@ class SweepCampaign:
             seed=self.seed,
             chunk_size=self.chunk_size,
         )
-        fold = LeakageMetricsFold(self.budgets, self.workload.true_key)
-        resilient = self.retries is not None or self.chunk_timeout is not None
-        if self.reduce == "worker":
-            reduced = engine.reduce(
-                inputs,
-                SweepMetricsFold(
-                    model_matrix=self.workload.model_matrix,
-                    true_key=self.workload.true_key,
-                    budgets=self.budgets,
-                ),
-                retry=self.retries,
-                chunk_timeout=self.chunk_timeout,
-            )
-            return SweepPointResult(
-                point=point,
-                metrics=reduced.value.result(),
-                seconds=time.perf_counter() - start,
-                is_baseline=self._is_baseline(point),
-            )
-        if self.chunk_size is None and not resilient:
-            trace_set = engine.acquire(inputs)
-            models = self.workload.model_matrix(inputs, 0, inputs.n_traces)
-            labels = models[:, self.workload.true_key].astype(np.int64)
-            fold.update(trace_set.traces, models, labels)
-        else:
-            # The resilience knobs operate per chunk, so they force the
-            # streamed path (one whole-point chunk when chunk_size is
-            # unset) — numerics are identical either way.
-            for chunk in engine.stream(
-                inputs, retry=self.retries, chunk_timeout=self.chunk_timeout
-            ):
-                models = self.workload.model_matrix(inputs, chunk.start, chunk.stop)
-                labels = models[:, self.workload.true_key].astype(np.int64)
-                fold.update(chunk.traces, models, labels)
+        reduced = engine.reduce(
+            inputs,
+            SweepMetricsFold(
+                model_matrix=self.workload.model_matrix,
+                true_key=self.workload.true_key,
+                true_key_column=self.workload.true_key,
+                budgets=self.budgets,
+            ),
+            retry=self.retries,
+            chunk_timeout=self.chunk_timeout,
+            reduce=self.reduce,
+        )
         return SweepPointResult(
             point=point,
-            metrics=fold.result(),
+            metrics=reduced.value.result(),
             seconds=time.perf_counter() - start,
             is_baseline=self._is_baseline(point),
         )

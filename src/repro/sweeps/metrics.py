@@ -12,17 +12,20 @@ recompute per budget):
 * **partition SNR** — Mangard's SNR over the Hamming-weight classes of
   the attacked intermediate.
 
-The fold consumes ``(traces, models, labels)`` chunks: a chunked
-campaign feeds one call per chunk, a monolithic campaign feeds the
-whole matrix once — the :class:`~repro.campaigns.accumulators.BudgetSplitter`
-slices either stream at budget boundaries, so both paths reproduce the
-two-pass references (``cpa_attack``/``welch_ttest``/``partition_snr``
-on each prefix) within ~1e-12.
+The fold consumes ``(traces, models, labels)`` chunks — one call per
+chunk, a single call for an unchunked campaign — and the
+:class:`~repro.campaigns.accumulators.BudgetSplitter` slices the stream
+at budget boundaries, so every chunking reproduces the two-pass
+references (``cpa_attack``/``welch_ttest``/``partition_snr`` on each
+prefix) within ~1e-12.  :class:`SweepMetricsFold` is its
+:class:`~repro.campaigns.reduction.ChunkFold`, the form sweep points and
+corpus cells hand to :meth:`~repro.campaigns.engine.StreamingCampaign.reduce`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from repro.campaigns.accumulators import (
     OnlineSnrAccumulator,
     OnlineTTestAccumulator,
 )
+from repro.campaigns.reduction import ChunkFold
+from repro.power.acquisition import BatchInputs
 from repro.sca.cpa import CpaResult
 
 #: Hamming-weight split of the Welch detector: class A is HW <= 3,
@@ -270,3 +275,49 @@ class LeakageMetricsFold:
             n_samples=self._n_samples,
             true_key=self.true_key,
         )
+
+
+@dataclass(frozen=True)
+class SweepMetricsFold(ChunkFold):
+    """:class:`LeakageMetricsFold` as a chunk fold (sweep points, corpus cells).
+
+    Each chunk's model matrix is evaluated against the chunk's own input
+    slice (value-identical to slicing the full batch) and folded in
+    deferred mode at the chunk's absolute offset; the in-order merge
+    reproduces the serial :class:`LeakageMetricsFold` stream — budget
+    snapshots included — bit for bit.  Guess *values* need not be byte
+    values (PRESENT attacks nibbles), so the partition labels are the
+    model column at ``true_key_column``, the true key's position in
+    ``guesses``.
+    """
+
+    #: ``(inputs, lo, hi) -> float64[hi-lo, n_guesses]`` CPA model matrix
+    model_matrix: Callable[[BatchInputs, int, int], np.ndarray]
+    true_key: int
+    true_key_column: int
+    budgets: tuple
+    guesses: tuple = tuple(range(256))
+    t_split: tuple = T_SPLIT
+
+    def create(self) -> LeakageMetricsFold:
+        return LeakageMetricsFold(
+            self.budgets, self.true_key, guesses=self.guesses, t_split=self.t_split
+        )
+
+    def fold_chunk(self, task, trace_set) -> dict:
+        models = self.model_matrix(trace_set.inputs, 0, trace_set.traces.shape[0])
+        labels = models[:, self.true_key_column].astype(np.int64)
+        part = LeakageMetricsFold(
+            self.budgets,
+            self.true_key,
+            guesses=self.guesses,
+            t_split=self.t_split,
+            start=task.lo,
+            defer=True,
+        )
+        part.update(trace_set.traces, models, labels)
+        return part.state()
+
+    def merge_state(self, accumulator, task, state):
+        accumulator.merge(LeakageMetricsFold.from_state(state))
+        return accumulator

@@ -1,10 +1,10 @@
 """Checkpoint/resume: atomic stores, fingerprints, byte-identical restarts.
 
-The acceptance bar for the resilience layer: a campaign killed
-mid-stream and resumed from its checkpoint finishes with exactly the
-bytes an uninterrupted run produces, on every backend and at both
-precisions — chunk determinism makes the re-acquired chunks identical,
-the checkpoint makes the already-folded ones survive.
+The acceptance bar for the resilience layer: a fold killed mid-campaign
+and resumed from its checkpoint finishes with exactly the bytes an
+uninterrupted run produces, on every backend, in both reduction modes
+and at both precisions — chunk determinism makes the re-acquired chunks
+identical, the checkpoint makes the already-merged ones survive.
 """
 
 import os
@@ -13,12 +13,12 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
 
 from repro.backends import PoolBackend, fork_available
+from repro.backends import base as backends_base
 from repro.campaigns.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -29,6 +29,7 @@ from repro.campaigns.checkpoint import (
     digest_inputs,
 )
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import TraceMeanVarFold
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
 from repro.power.acquisition import random_inputs
@@ -185,133 +186,118 @@ BACKENDS = [
 ]
 
 
-def _stream_traces(
-    engine, inputs, backend, checkpointer=None, abort_after=None, sink=None
-):
-    """Stream with optional checkpoint; abort (kill) after N folded chunks.
+class _Aborted(Exception):
+    """The in-process stand-in for a kill landing right after a commit."""
 
-    ``sink`` is the driver's accumulator: chunks are folded into it
-    *inside* the loop, before the engine's commit point, so a
-    checkpointer's ``state_fn`` observes the state the commit covers.
-    """
+
+class AbortingCheckpointer(Checkpointer):
+    """Commits like a :class:`Checkpointer`, then dies after ``abort_after``."""
+
+    def __init__(self, *args, abort_after: int, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.abort_after = abort_after
+
+    def chunk_done(self, index: int) -> None:
+        super().chunk_done(index)
+        if len(self.completed) == self.abort_after:
+            raise _Aborted
+
+
+def _reduce_state(engine, inputs, backend="serial", checkpointer=None, reduce=None):
+    """The checkpointed trace mean/variance fold, as its frozen state."""
     owned_pool = None
     if backend == "pool":
         owned_pool = PoolBackend(jobs=2)
         backend = owned_pool
-    folded = []
     try:
-        stream = engine.stream(
-            inputs, chunk_size=12, jobs=2, backend=backend, checkpoint=checkpointer
-        )
-        for chunk in stream:
-            if not chunk.replayed:
-                folded.append((chunk.index, chunk.traces))
-                if sink is not None:
-                    sink[chunk.index] = chunk.traces
-            if abort_after is not None and len(folded) >= abort_after:
-                stream.close()  # the in-process stand-in for a kill
-                break
+        value = engine.reduce(
+            inputs,
+            TraceMeanVarFold(),
+            chunk_size=12,
+            jobs=2,
+            backend=backend,
+            checkpoint=checkpointer,
+            reduce=reduce,
+        ).value
     finally:
         if owned_pool is not None:
             owned_pool.close()
-    return folded
+    return value.state()
 
 
+def assert_states_equal(left: dict, right: dict) -> None:
+    assert left["n"] == right["n"]
+    assert left["mean"].tobytes() == right["mean"].tobytes()
+    assert left["m2"].tobytes() == right["m2"].tobytes()
+
+
+@pytest.mark.parametrize("reduce", [None, "worker"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("precision", ["float32", "float64-exact"])
 class TestResumeByteIdentity:
     """The acceptance criterion: killed + resumed == uninterrupted."""
 
-    def test_aborted_stream_resumes_byte_identical(
-        self, backend, precision, tmp_path
+    def test_aborted_fold_resumes_byte_identical(
+        self, backend, precision, reduce, tmp_path
     ):
         inputs = make_inputs(48)
-        clean = np.concatenate(
-            [
-                t
-                for _i, t in _stream_traces(
-                    make_engine(precision), inputs, "serial"
-                )
-            ]
-        )
+        clean = _reduce_state(make_engine(precision), inputs)
 
-        # First run: checkpoint each folded chunk, die after two.
-        state: dict = {}
-        first = Checkpointer(
-            str(tmp_path), state_fn=lambda: dict(state), resume=False
-        )
-        _stream_traces(
-            make_engine(precision),
-            inputs,
-            backend,
-            checkpointer=first,
-            abort_after=2,
-            sink=state,
-        )
+        # First run: checkpoint each merged chunk, die after two.
+        with pytest.raises(_Aborted):
+            _reduce_state(
+                make_engine(precision),
+                inputs,
+                backend,
+                AbortingCheckpointer(str(tmp_path), abort_after=2),
+                reduce,
+            )
 
-        # Second run: resume restores the folded chunks, re-acquires the
-        # rest through the same backend.
-        restored: dict = {}
-        second = Checkpointer(
-            str(tmp_path),
-            state_fn=lambda: dict(restored),
-            restore_fn=lambda saved: restored.update(saved),
-            resume=True,
+        # Second run: resume restores the merged state, re-acquires the
+        # rest through the same backend and merges it on top.
+        second = Checkpointer(str(tmp_path), resume=True)
+        resumed = _reduce_state(
+            make_engine(precision), inputs, backend, second, reduce
         )
-        _stream_traces(
-            make_engine(precision),
-            inputs,
-            backend,
-            checkpointer=second,
-            sink=restored,
-        )
-        assert second.resumed_from >= 1
-
-        resumed = np.concatenate([restored[i] for i in sorted(restored)])
-        np.testing.assert_array_equal(resumed, clean)
+        assert second.resumed_from == 2
+        assert_states_equal(resumed, clean)
 
 
 class TestResumeSemantics:
-    def test_fully_complete_resume_replays_only_the_last_chunk(self, tmp_path):
+    def test_fully_complete_resume_dispatches_nothing(self, tmp_path, monkeypatch):
         inputs = make_inputs(48)
-        state: dict = {}
-        first = Checkpointer(str(tmp_path), state_fn=lambda: dict(state))
-        engine = make_engine()
-        for chunk in engine.stream(inputs, chunk_size=12, checkpoint=first):
-            state[chunk.index] = chunk.traces
+        first = _reduce_state(
+            make_engine(), inputs, checkpointer=Checkpointer(str(tmp_path))
+        )
 
-        second = Checkpointer(
-            str(tmp_path),
-            restore_fn=lambda saved: None,
-            resume=True,
-        )
-        chunks = list(
-            make_engine().stream(inputs, chunk_size=12, checkpoint=second)
-        )
-        assert [c.replayed for c in chunks] == [True]
-        assert chunks[0].index == 3  # the last of four 12-trace chunks
-        np.testing.assert_array_equal(chunks[0].traces, state[3])
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a complete checkpoint must not dispatch chunks")
+
+        monkeypatch.setattr(backends_base, "run_chunk_task", no_dispatch)
+        second = Checkpointer(str(tmp_path), resume=True)
+        restored = _reduce_state(make_engine(), inputs, checkpointer=second)
+        assert second.resumed_from == 4  # all four 12-trace chunks
+        assert_states_equal(restored, first)
 
     def test_resuming_different_inputs_is_refused(self, tmp_path):
-        first = Checkpointer(str(tmp_path))
-        engine = make_engine()
-        list(engine.stream(make_inputs(48, seed=11), chunk_size=12, checkpoint=first))
-        second = Checkpointer(str(tmp_path), resume=True)
+        _reduce_state(
+            make_engine(),
+            make_inputs(48, seed=11),
+            checkpointer=Checkpointer(str(tmp_path)),
+        )
         with pytest.raises(CheckpointMismatch):
-            list(
-                make_engine().stream(
-                    make_inputs(48, seed=12), chunk_size=12, checkpoint=second
-                )
+            _reduce_state(
+                make_engine(),
+                make_inputs(48, seed=12),
+                checkpointer=Checkpointer(str(tmp_path), resume=True),
             )
 
     def test_checkpoint_events_reach_the_ambient_fault_report(self, tmp_path):
         from repro.backends.resilience import collecting_faults
 
-        inputs = make_inputs(24)
         with collecting_faults() as report:
-            checkpointer = Checkpointer(str(tmp_path))
-            list(
-                make_engine().stream(inputs, chunk_size=12, checkpoint=checkpointer)
+            _reduce_state(
+                make_engine(), make_inputs(24), checkpointer=Checkpointer(str(tmp_path))
             )
         events = [entry["event"] for entry in report.checkpoint]
         assert events[0] == "started"
@@ -329,6 +315,7 @@ DRIVER = textwrap.dedent(
 
     from repro.campaigns.checkpoint import Checkpointer
     from repro.campaigns.engine import StreamingCampaign
+    from repro.campaigns.reduction import TraceMeanVarFold
     from repro.isa.parser import assemble
     from repro.isa.registers import Reg
     from repro.power.acquisition import random_inputs
@@ -346,6 +333,14 @@ DRIVER = textwrap.dedent(
     '''
 
 
+    class KilledAfterTwoCommits(Checkpointer):
+        def chunk_done(self, index):
+            super().chunk_done(index)
+            if len(self.completed) == 2:
+                print("dying", flush=True)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+
     def main(checkpoint_dir):
         program = assemble(SRC)
         inputs = random_inputs(48, reg_names=(Reg.R1, Reg.R2), seed=11)
@@ -353,15 +348,12 @@ DRIVER = textwrap.dedent(
         engine = StreamingCampaign(
             program, scope=ScopeConfig(noise_sigma=3.0, precision="float32"), seed=0xCB
         )
-        state = {}
-        checkpointer = Checkpointer(checkpoint_dir, state_fn=lambda: dict(state))
-        folded = 0
-        for chunk in engine.stream(inputs, chunk_size=12, checkpoint=checkpointer):
-            state[chunk.index] = chunk.traces
-            folded += 1
-            if folded == 2:
-                print("dying", flush=True)
-                os.kill(os.getpid(), signal.SIGKILL)
+        engine.reduce(
+            inputs,
+            TraceMeanVarFold(),
+            chunk_size=12,
+            checkpoint=KilledAfterTwoCommits(checkpoint_dir),
+        )
         print("survived", flush=True)
 
 
@@ -374,7 +366,7 @@ DRIVER = textwrap.dedent(
 class TestKilledProcessResume:
     def test_sigkilled_campaign_resumes_byte_identical(self, tmp_path):
         """A real process kill, not a simulated abort: run a checkpointing
-        campaign in a subprocess, SIGKILL it mid-stream, resume here."""
+        fold in a subprocess, SIGKILL it mid-campaign, resume here."""
         script = tmp_path / "driver.py"
         script.write_text(DRIVER)
         proc = subprocess.run(
@@ -387,23 +379,10 @@ class TestKilledProcessResume:
         assert "dying" in proc.stdout
 
         inputs = make_inputs(48)
-        clean = np.concatenate(
-            [t for _i, t in _stream_traces(make_engine(), inputs, "serial")]
-        )
-        restored: dict = {}
-        checkpointer = Checkpointer(
-            str(tmp_path / "ckpt"),
-            state_fn=lambda: dict(restored),
-            restore_fn=lambda saved: restored.update(saved),
-            resume=True,
-        )
-        for chunk in make_engine().stream(
-            inputs, chunk_size=12, checkpoint=checkpointer
-        ):
-            if not chunk.replayed:
-                restored[chunk.index] = chunk.traces
-        # The kill landed after two folds; at least one chunk survived
-        # the last flush and was not re-acquired.
-        assert checkpointer.resumed_from >= 1
-        resumed = np.concatenate([restored[i] for i in sorted(restored)])
-        np.testing.assert_array_equal(resumed, clean)
+        clean = _reduce_state(make_engine(), inputs)
+        checkpointer = Checkpointer(str(tmp_path / "ckpt"), resume=True)
+        resumed = _reduce_state(make_engine(), inputs, checkpointer=checkpointer)
+        # The kill landed right after the second commit, so exactly two
+        # chunks survived and were not re-acquired.
+        assert checkpointer.resumed_from == 2
+        assert_states_equal(resumed, clean)

@@ -148,6 +148,60 @@ class TestFloat32Streaming:
             grid = chunk.traces / lsb
             np.testing.assert_allclose(grid, np.rint(grid), atol=1e-2)
 
+    @pytest.mark.parametrize("transform", [None, lambda power: power * 4.0])
+    def test_single_chunk_stream_self_calibrates(self, transform):
+        # One chunk needs no separate calibration pass: the lone capture
+        # self-calibrates from the same leading traces, byte for byte
+        # (300 traces > the 128 calibration traces).
+        def counting(engine):
+            runs = []
+            run_checked = engine._campaign._run_checked
+
+            def spy(batch, *args, **kwargs):
+                runs.append(batch.n_traces)
+                return run_checked(batch, *args, **kwargs)
+
+            engine._campaign._run_checked = spy
+            return engine, runs
+
+        inputs = make_inputs(n=300)
+        engine, monolithic_runs = counting(self.make_float32_engine())
+        monolithic = engine.acquire(inputs, power_transform=transform)
+        engine, streamed_runs = counting(self.make_float32_engine())
+        chunks = list(engine.stream(inputs, power_transform=transform))
+        assert len(chunks) == 1
+        # Exactly the batch executions of the monolithic capture: no
+        # separate calibration pass over the leading traces.
+        assert streamed_runs == monolithic_runs == [300]
+        np.testing.assert_array_equal(chunks[0].traces, monolithic.traces)
+
+    def test_figure3_chunks_sit_on_one_lsb_grid(self):
+        # Every chunk of a streamed float32 Figure-3 campaign quantizes
+        # against the one campaign-level full scale, so every recorded
+        # value is an integer multiple of one LSB.  Two workers, so no
+        # chunk can inherit a full scale its predecessor self-calibrated.
+        from repro.crypto.aes_asm import LAYOUT, round1_only_program
+        from repro.experiments.figure3 import figure3_scope
+        from repro.power.profile import cortex_a7_profile
+
+        scope = figure3_scope("float32")
+        inputs = random_inputs(1500, mem_blocks={LAYOUT.state: 16}, seed=3)
+        engine = StreamingCampaign(
+            round1_only_program(bytes(range(16))),
+            profile=cortex_a7_profile(),
+            scope=scope,
+            entry="aes_round1",
+            seed=5,
+            chunk_size=500,
+        )
+        chunks = [chunk.traces for chunk in engine.stream(inputs, jobs=2)]
+        assert len(chunks) == 3
+        lsb = engine._campaign.pinned_full_scale / 2**scope.quantize_bits
+        for traces in chunks:
+            assert traces.dtype == np.float32
+            grid = traces / lsb
+            np.testing.assert_allclose(grid, np.rint(grid), atol=1e-2)
+
     def test_traces_are_float32(self):
         inputs = make_inputs(n=24)
         assert self.make_float32_engine().acquire(inputs).traces.dtype == np.float32

@@ -1,5 +1,7 @@
 """End-to-end streamed experiment runs: chunked campaigns, same science."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from repro.experiments.ablations import ablate_operand_swap
 from repro.experiments.figure3 import figure3_scope, run_figure3
 from repro.experiments.table2 import run_table2
 from repro.power.acquisition import random_inputs
+from repro.power.profile import cortex_a7_profile
 from repro.power.scope import ScopeConfig
-from repro.sca.models import hw_sbox_class_model
+from repro.sca.cpa import cpa_attack
+from repro.sca.models import hw_sbox_class_model, hw_sbox_model
 
 #: Low-noise scope so reduced-trace streamed attacks stay decisive.
 _FAST_SCOPE = ScopeConfig(noise_sigma=20.0, n_averages=16, quantize_bits=8)
@@ -34,11 +38,11 @@ class TestStreamedFigure3:
         assert streamed.cpa.rank_of(streamed.true_key_byte) == 0
         assert streamed.cpa.n_traces == 400
 
-    def test_chunk_metadata_still_describes_the_figure(self, streamed):
-        # The result's trace_set holds the last chunk: same schedule,
-        # same sample axis, chunk-sized trace matrix.
+    def test_metadata_still_describes_the_figure(self, streamed):
+        # The result's trace_set is the fold's zero-row metadata set:
+        # same schedule, same sample axis, no trace bytes.
         assert streamed.timecourse.shape == (streamed.trace_set.n_samples,)
-        assert streamed.trace_set.n_traces == 400 % 128  # the final chunk
+        assert streamed.trace_set.n_traces == 0
         assert set(streamed.segments) == {"ARK", "SB", "ShR", "MC"}
 
     def test_parallel_fanout_matches_serial(self, streamed):
@@ -74,11 +78,61 @@ def _f32_figure3(**kwargs):
     return run_figure3(n_traces=240, chunk_size=60, precision="float32", **kwargs)
 
 
+def _figure3_on_oracle(monkeypatch, **kwargs):
+    """``run_figure3`` finished on the two-pass ``cpa_attack`` oracle.
+
+    The engine's fold still runs (for the result's metadata), but the
+    CPA handed to the figure's finish step is recomputed by
+    :func:`cpa_attack` over the whole campaign acquired monolithically
+    via :meth:`StreamingCampaign.acquire` — so rank and shape checks are
+    judged by the same code on the oracle's correlations.
+    """
+    real_reduce = StreamingCampaign.reduce
+
+    def oracle_reduce(self, inputs, fold, **reduce_kwargs):
+        traces = self.acquire(inputs).traces
+        reduced = real_reduce(self, inputs, fold, **reduce_kwargs)
+        plaintexts = inputs.mem_bytes[LAYOUT.state]
+        oracle = cpa_attack(
+            traces, lambda guess: hw_sbox_model(plaintexts, fold.byte_index, guess)
+        )
+        reduced.value = SimpleNamespace(result=lambda: oracle)
+        return reduced
+
+    monkeypatch.setattr(StreamingCampaign, "reduce", oracle_reduce)
+    try:
+        return run_figure3(**kwargs)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64-exact"])
+class TestFigure3SingleChunkFold:
+    """An unchunked figure3 is the single-chunk case of the one fold."""
+
+    def test_default_equals_one_whole_chunk(self, precision):
+        default = run_figure3(n_traces=400, precision=precision)
+        whole = run_figure3(n_traces=400, precision=precision, chunk_size=400)
+        assert default.cpa.correlations.tobytes() == whole.cpa.correlations.tobytes()
+        assert default.to_json() == whole.to_json()
+
+    def test_matches_the_two_pass_oracle(self, precision, monkeypatch):
+        folded = run_figure3(n_traces=3000, precision=precision)
+        oracle = _figure3_on_oracle(monkeypatch, n_traces=3000, precision=precision)
+        np.testing.assert_allclose(
+            folded.cpa.correlations, oracle.cpa.correlations, rtol=0, atol=1e-10
+        )
+        key_byte = folded.true_key_byte
+        assert folded.cpa.rank_of(key_byte) == oracle.cpa.rank_of(key_byte) == 0
+        assert folded.checks == oracle.checks
+        assert folded.matches_paper and oracle.matches_paper
+
+
 class TestFigure3FoldPaths:
-    """The three streamed figure3 folds — parent stream, worker reduction
-    and checkpoint resume — all fold partition sums in chunk order, so
-    their correlations are byte-equal; the monolithic two-pass CPA is
-    the oracle they agree with."""
+    """The streamed figure3 folds — parent stream, worker reduction and
+    checkpoint resume — all fold partition sums in chunk order, so their
+    correlations are byte-equal; the two-pass CPA over the monolithic
+    acquisition is the oracle they agree with."""
 
     @pytest.fixture(scope="class")
     def serial(self):
@@ -116,8 +170,10 @@ class TestFigure3FoldPaths:
         resumed = _f32_figure3(checkpoint=str(tmp_path), resume=True)
         assert resumed.cpa.correlations.tobytes() == serial.cpa.correlations.tobytes()
 
-    def test_streamed_matches_the_monolithic_oracle(self, serial):
-        monolithic = run_figure3(n_traces=240, precision="float32")
+    def test_streamed_matches_the_monolithic_oracle(self, serial, monkeypatch):
+        monolithic = _figure3_on_oracle(
+            monkeypatch, n_traces=240, chunk_size=60, precision="float32"
+        )
         np.testing.assert_allclose(
             serial.cpa.correlations, monolithic.cpa.correlations, rtol=0, atol=1e-10
         )
@@ -132,18 +188,32 @@ class TestFigure3FoldPaths:
         _f32_figure3(checkpoint=str(tmp_path), reduce=reduce)
         store = CheckpointStore(str(tmp_path))
         record = store.load()
-        # Swap in co-moment statistics in the layout a checkpoint written
-        # before the partition fold holds: a pickled accumulator with a
-        # bare ``_corr`` (parent stream) or a kind-less state dict (worker).
         rng = np.random.default_rng(0)
         corr = OnlineCorrAccumulator()
         corr.update(rng.normal(size=(4, 256)), rng.normal(size=(4, 3)))
         guesses = np.arange(256)
         if reduce is None:
+            # What the retired parent-stream path wrote: its own stream
+            # fingerprint over a pickled co-moment accumulator (bare
+            # ``_corr``).  The fold path never resumes it.
+            engine = StreamingCampaign(
+                round1_only_program(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")),
+                profile=cortex_a7_profile(),
+                scope=figure3_scope("float32"),
+                entry="aes_round1",
+                seed=0xF16003 ^ 0x5A5A,
+                chunk_size=60,
+            )
+            inputs = random_inputs(240, mem_blocks={LAYOUT.state: 16}, seed=0xF16003)
+            record["fingerprint"] = engine._stream_fingerprint(
+                inputs, engine.chunk_bounds(240)
+            )
             legacy = CpaAccumulator.__new__(CpaAccumulator)
             legacy.__dict__.update(guesses=guesses, _corr=corr)
             record["state"] = legacy
         else:
+            # A kind-less state dict: the fold's frozen state from before
+            # the partition kind.
             record["state"] = {"guesses": guesses, "corr": corr.state()}
         store.save(record)
         with pytest.raises(CheckpointMismatch, match=str(tmp_path)):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.api import RunRequest
 from repro.campaigns import registry
 from repro.power.scope import ScopeConfig
+from repro.service import cache as cache_module
 from repro.service.cache import KEY_SCHEMA, ResultCache, job_key, key_material
 from repro.uarch.config import PipelineConfig
 
@@ -102,6 +103,15 @@ class TestPerformanceKnobs:
     def test_material_is_schema_versioned(self):
         material = key_material(FIGURE3, RunRequest(n_traces=64).resolve(FIGURE3))
         assert material["schema"] == KEY_SCHEMA
+
+    def test_figure3_keys_retire_their_jobkey_1_results(self, monkeypatch):
+        # An unchunked figure3 now runs the single-chunk fold, whose
+        # correlations differ from the former two-pass path by ~1e-14:
+        # results cached under repro.jobkey/1 must never be served.
+        assert KEY_SCHEMA == "repro.jobkey/2"
+        current = key_for(n_traces=64)
+        monkeypatch.setattr(cache_module, "KEY_SCHEMA", "repro.jobkey/1")
+        assert key_for(n_traces=64) != current
 
 
 def _child_key(start_method_and_pipe):

@@ -1,5 +1,8 @@
 """The sweep engine: reference equivalence, dedup, jobs determinism."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,3 +228,40 @@ class TestPresetAblationsRebase:
         result = run_preset_ablations(n_traces=96, seed=0xAB)
         assert [p.name for p in result.points] == list(PRESET_ORDER)
         assert result.compile_stats[1] == 5
+
+
+def _without_seconds(record):
+    """``record`` with wall time stripped, as the CI JSON comparisons do."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+    try:
+        from json_equal_modulo_seconds import stable
+    finally:
+        sys.path.pop(0)
+    return stable(record)
+
+
+@pytest.mark.parametrize("precision", [None, "float32"])
+class TestOneFoldPath:
+    """Every point runs one fold; its layout never moves a byte."""
+
+    SPEC = SweepSpec.from_grid("layouts", {"dual_issue": (True, False)})
+
+    def run(self, precision, **knobs):
+        result = SweepCampaign(
+            self.SPEC,
+            n_traces=150,
+            budgets=(60, 150),
+            seed=0xF01D,
+            precision=precision,
+            **knobs,
+        ).run()
+        return _without_seconds(result.to_json())
+
+    def test_unchunked_equals_single_chunk_and_worker(self, precision):
+        monolithic = self.run(precision)
+        assert self.run(precision, chunk_size=150) == monolithic
+        assert self.run(precision, reduce="worker") == monolithic
+
+    def test_chunked_worker_equals_chunked_parent(self, precision):
+        chunked = self.run(precision, chunk_size=40)
+        assert self.run(precision, chunk_size=40, reduce="worker") == chunked
