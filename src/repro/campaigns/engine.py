@@ -2,9 +2,10 @@
 
 :class:`StreamingCampaign` is the one acquisition path every experiment
 driver runs through.  It compiles a program's pipeline/leakage schedule
-once (consulting a process-wide cache shared across campaigns on the
-same program), then yields traces in fixed-size chunks: each chunk is a
-full :class:`~repro.power.acquisition.TraceSet` over a slice of the
+once (consulting a process-wide cache shared across campaigns on
+programs of the same content), then yields traces in fixed-size
+chunks: each chunk is a full
+:class:`~repro.power.acquisition.TraceSet` over a slice of the
 inputs, replayed by the compiled trace tape (:mod:`repro.isa.vtrace`),
 evaluated against the leakage schedule and captured by the oscilloscope
 chain with a chunk-indexed noise seed (float64-exact) or counter range
@@ -32,10 +33,11 @@ Properties the rest of the stack builds on:
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import pickle
 import warnings
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -72,11 +74,20 @@ from repro.uarch.config import PipelineConfig
 #: but still unpacks as ``(path, schedule, leakage)``.
 CompiledSchedule = CompiledAcquisition
 
-#: Process-wide compiled-schedule cache: id(program) -> {key -> compiled}.
-#: ``Program`` is an eq-comparing dataclass (unhashable), so entries are
-#: keyed by identity and evicted by a weakref finalizer when the program
-#: is garbage-collected.
-_SCHEDULE_CACHE: dict[int, dict] = {}
+#: Process-wide compiled-schedule cache, least recently used first.  It
+#: is keyed on what the compile reads (see
+#: :meth:`StreamingCampaign._cache_key`): the program's content, not the
+#: object, because every driver run assembles a fresh ``Program`` — so
+#: back-to-back campaigns on one program compile once.  Entries hold
+#: their program, so the fixed bound is what caps the memory they keep.
+#: A compiled entry reuses scratch buffers across runs (the tape's page
+#: pool, packed-plan buffers), so campaigns run in parallel through
+#: processes, never through threads of one process.
+_SCHEDULE_CACHE: OrderedDict[tuple, CompiledAcquisition] = OrderedDict()
+_SCHEDULE_CACHE_SIZE = 16
+#: compilations :meth:`StreamingCampaign.compiled` ran in this process
+#: (cache misses plus uncacheable programs)
+_schedule_compiles = 0
 
 
 def _fold_digest(fold) -> str:
@@ -84,24 +95,25 @@ def _fold_digest(fold) -> str:
     return hashlib.sha256(pickle.dumps(fold)).hexdigest()
 
 
-def _program_cache(program: Program) -> dict:
-    key = id(program)
-    per_program = _SCHEDULE_CACHE.get(key)
-    if per_program is None:
-        per_program = {}
-        _SCHEDULE_CACHE[key] = per_program
-        weakref.finalize(program, _SCHEDULE_CACHE.pop, key, None)
-    return per_program
-
-
 def schedule_cache_info() -> tuple[int, int]:
     """(programs cached, total compiled schedules) — for tests/benchmarks."""
-    entries = sum(len(per_program) for per_program in _SCHEDULE_CACHE.values())
-    return len(_SCHEDULE_CACHE), entries
+    programs = {key[0] for key in _SCHEDULE_CACHE}
+    return len(programs), len(_SCHEDULE_CACHE)
+
+
+def schedule_compiles() -> int:
+    """Schedule compilations run in this process so far (never reset)."""
+    return _schedule_compiles
 
 
 def clear_schedule_cache() -> None:
     _SCHEDULE_CACHE.clear()
+
+
+# Free the cached compiles before interpreter teardown: module cleanup
+# takes about twice as long over the same objects, and every short-lived
+# process (a CLI run, a cold start) pays it on exit.
+atexit.register(clear_schedule_cache)
 
 
 @dataclass
@@ -187,6 +199,7 @@ class StreamingCampaign:
         # differing only in scope knobs the compilation never sees —
         # share one compiled schedule.
         return (
+            self.program.content_key(),
             campaign.config.identity(),
             campaign.scope_config.samples_per_cycle,
             campaign.entry,
@@ -197,22 +210,28 @@ class StreamingCampaign:
     def compiled(self, inputs: BatchInputs) -> CompiledSchedule:
         """The (path, schedule, leakage) triple, compiled at most once.
 
-        Consults the process-wide cache keyed by (program, config,
-        scope, entry, window, input shape) so distinct campaigns over
-        the same workload share one compilation.
+        Consults the process-wide cache keyed by (program content,
+        config, scope sample rate, entry, window, input shape) so
+        distinct campaigns over the same workload — separately assembled
+        programs included — share one compilation.
         """
+        global _schedule_compiles
         if not self._campaign._schedule_input_independent():
             # Conditionally-executed non-branch instructions make the
             # schedule depend on input values, not just shape: compile
             # against exactly this batch and skip the shared cache.
+            _schedule_compiles += 1
             return self._campaign.compile_with(inputs)
         key = self._cache_key(inputs)
-        per_program = _program_cache(self.program)
-        compiled = per_program.get(key)
+        compiled = _SCHEDULE_CACHE.get(key)
         if compiled is None:
+            _schedule_compiles += 1
             compiled = self._campaign.compile_with(inputs)
-            per_program[key] = compiled
+            _SCHEDULE_CACHE[key] = compiled
+            if len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_SIZE:
+                _SCHEDULE_CACHE.popitem(last=False)
         else:
+            _SCHEDULE_CACHE.move_to_end(key)
             # Seed the inner campaign's own cache so acquire() skips the
             # reference-executor pass entirely.
             self._campaign._compiled = compiled

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
+from repro.isa.registers import Reg
 
 
 @dataclass
@@ -64,6 +65,32 @@ class Program:
 
     def index_of_address(self, address: int) -> int:
         return self.instruction_at(address).index
+
+    def content_key(self) -> tuple:
+        """Everything a schedule compile reads, as a hashable tuple.
+
+        Two separately assembled copies of one program share a key, so
+        caches keyed on it survive re-assembly.  ``source`` is left out
+        (directly built programs have none).  ``Reg`` is an ``IntEnum``,
+        so a register shift amount or memory offset compares equal to the
+        immediate of the same number; which of the two each instruction
+        carries is keyed separately.
+        """
+        return (
+            self.text_base,
+            tuple(self.instructions),
+            tuple(
+                (
+                    instr.index,
+                    instr.address,
+                    isinstance(getattr(instr.op2, "amount", None), Reg),
+                    isinstance(getattr(instr.mem, "offset", None), Reg),
+                )
+                for instr in self.instructions
+            ),
+            tuple(sorted(self.labels.items())),
+            tuple((block.address, bytes(block.data)) for block in self.data_blocks),
+        )
 
     @property
     def text_end(self) -> int:

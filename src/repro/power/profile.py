@@ -81,6 +81,19 @@ class LeakageProfile:
     #: global scale applied to every leak (models probe/amplifier gain)
     gain: float = 1.0
 
+    def identity(self) -> tuple:
+        """Every weight and the gain, excluding the display ``name``.
+
+        Two profiles with equal identity leak identically; compiled
+        evaluation plans key on this (the leakage counterpart of
+        ``PipelineConfig.identity()`` and ``ScopeConfig.identity()``).
+        """
+        return (
+            tuple(sorted(self.kind_weights.items(), key=lambda item: item[0].value)),
+            tuple(sorted(self.overrides.items(), key=lambda item: item[0])),
+            self.gain,
+        )
+
     def weights_for(self, component: Component) -> ComponentWeights:
         if component.name in self.overrides:
             return self.overrides[component.name]

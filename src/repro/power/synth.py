@@ -68,8 +68,8 @@ class LeakageSchedule:
         self.n_samples = self.n_cycles * samples_per_cycle
         self.components = components
         self.compiled = self._compile(schedule.events)
-        #: packed-evaluation plans, keyed by (layout id, profile id)
-        self._packed_plans: dict[tuple[int, int], "_PackedPlan"] = {}
+        #: packed-evaluation plans, keyed by (layout id, profile identity)
+        self._packed_plans: dict[tuple[int, tuple], "_PackedPlan"] = {}
 
     def _compile(self, events: list[BusEvent]) -> dict[str, CompiledComponent]:
         spc = self.samples_per_cycle
@@ -168,9 +168,12 @@ class LeakageSchedule:
         return power.T
 
     def _packed_plan(self, layout: PackedLayout, profile: LeakageProfile) -> "_PackedPlan":
-        key = (id(layout), id(profile))
+        # Keyed on the profile's content, not the object: a cached
+        # schedule outlives the run, and every run builds its own
+        # (equal) profile.
+        key = (id(layout), profile.identity())
         plan = self._packed_plans.get(key)
-        if plan is None or plan.layout is not layout or plan.profile is not profile:
+        if plan is None or plan.layout is not layout:
             plan = _PackedPlan(self, layout, profile)
             self._packed_plans[key] = plan
         return plan
@@ -246,7 +249,6 @@ class _PackedPlan:
 
     def __init__(self, schedule: "LeakageSchedule", layout: PackedLayout, profile: LeakageProfile):
         self.layout = layout
-        self.profile = profile
         self.n_samples = schedule.n_samples
         zeros_row = layout.zeros_row
 

@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import ExecutionBackend, resolve_backend
-from repro.campaigns.engine import StreamingCampaign, schedule_cache_info
+from repro.backends import ExecutionBackend, SerialBackend, resolve_backend
+from repro.campaigns.engine import StreamingCampaign, schedule_compiles
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import render_table
 from repro.power.acquisition import BatchInputs, random_inputs
@@ -392,10 +392,6 @@ class SweepCampaign:
         points = self.spec.expand()
         program = self.workload.build_program()
         inputs = self.workload.build_inputs(self.n_traces, self.seed)
-        identities = {
-            (point.config.identity(), self._scope_identity(point))
-            for point in points
-        }
         done_results: dict[int, SweepPointResult] = {}
         checkpointer = self._checkpointer(checkpoint, resume, done_results)
         done: set[int] = set()
@@ -404,7 +400,7 @@ class SweepCampaign:
                 self._sweep_fingerprint(points), n_chunks=len(points)
             )
         pending = [i for i in range(len(points)) if i not in done]
-        _programs_before, entries_before = schedule_cache_info()
+        compiles_before = schedule_compiles()
         resolved, owned = resolve_backend(
             self.backend, jobs=self.jobs, n_tasks=max(1, len(pending))
         )
@@ -435,14 +431,16 @@ class SweepCampaign:
         if checkpointer is not None:
             checkpointer.finalize()
         results = [done_results[i] for i in range(len(points))]
-        _programs_after, entries_after = schedule_cache_info()
-        compiled = entries_after - entries_before
-        if compiled <= 0:
-            # Either a warm cache or forked workers (whose caches the
-            # parent cannot observe): report the structural dedup bound —
-            # unique (config identity, scope cache component) pairs, the
-            # same distinction the engine's cache key draws.
-            compiled = len(identities)
+        if isinstance(resolved, SerialBackend):
+            compiled = schedule_compiles() - compiles_before
+        else:
+            # Points ran in worker processes, whose caches the parent
+            # cannot observe: report the structural dedup bound — unique
+            # (config identity, scope cache component) pairs, the same
+            # distinction the engine's cache key draws.
+            compiled = len(
+                {(point.config.identity(), self._scope_identity(point)) for point in points}
+            )
         return SweepResult(
             spec=self.spec,
             workload=self.workload.name,

@@ -1,13 +1,18 @@
 """Streaming engine: chunking, determinism, parallelism, schedule cache."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.campaigns import engine as engine_module
 from repro.campaigns.engine import (
     StreamingCampaign,
     clear_schedule_cache,
     schedule_cache_info,
+    schedule_compiles,
 )
+from repro.crypto.aes_asm import LAYOUT, aes128_program
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
 from repro.power.acquisition import TraceCampaign, random_inputs
@@ -23,6 +28,9 @@ SRC = """
 buf:
     .space 64
 """
+
+#: SRC with two entry points, for cache-key tests on ``entry``
+ENTRY_SRC = "main:\n" + SRC.replace("    bx lr", "alt:\n    sub r5, r1, r2\n    bx lr", 1)
 
 
 def make_inputs(n=48, seed=11):
@@ -280,6 +288,96 @@ class TestScheduleCache:
         assert second._campaign.compile_count == 0
         programs, entries = schedule_cache_info()
         assert programs >= 1 and entries >= 1
+
+    def test_separately_assembled_programs_compile_once(self):
+        clear_schedule_cache()
+        inputs = make_inputs()
+        before = schedule_compiles()
+        first = StreamingCampaign(assemble(SRC), seed=1)
+        first.acquire(inputs)
+        second = StreamingCampaign(assemble(SRC), seed=2)
+        second.acquire(inputs)
+        assert first._campaign.compile_count == 1
+        assert second._campaign.compile_count == 0
+        assert schedule_compiles() - before == 1
+        assert schedule_cache_info() == (1, 1)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            dict(src=ENTRY_SRC.replace("eor r3, r0, r1", "eor r3, r0, r2")),
+            dict(src=ENTRY_SRC.replace("lsl r4, r3, #3", "lsl r4, r3, #2")),
+            dict(entry="alt"),
+            dict(window_cycles=(1, 6)),
+        ],
+        ids=["instruction", "immediate", "entry", "window"],
+    )
+    def test_each_compile_input_gets_its_own_entry(self, variant):
+        inputs = make_inputs()
+        clear_schedule_cache()
+        StreamingCampaign(assemble(ENTRY_SRC), entry="main", window_cycles=(0, 6)).acquire(
+            inputs
+        )
+        other = StreamingCampaign(
+            assemble(variant.get("src", ENTRY_SRC)),
+            entry=variant.get("entry", "main"),
+            window_cycles=variant.get("window_cycles", (0, 6)),
+        )
+        other.acquire(inputs)
+        assert other._campaign.compile_count == 1
+        assert schedule_cache_info()[1] == 2
+
+    def test_register_and_immediate_operands_key_apart(self):
+        # Reg is an IntEnum: `lsl r1` and `lsl #1` compare equal as
+        # operands, but they are different programs.
+        by_register = assemble("    mov r0, r2, lsl r1\n    bx lr")
+        by_immediate = assemble("    mov r0, r2, lsl #1\n    bx lr")
+        assert by_register.content_key() != by_immediate.content_key()
+        load_register = assemble("    ldr r0, [r9, r1]\n    bx lr")
+        load_immediate = assemble("    ldr r0, [r9, #1]\n    bx lr")
+        assert load_register.content_key() != load_immediate.content_key()
+
+    def test_aes_key_byte_compiles_separately(self):
+        key = bytes(range(16))
+        other_key = bytes([0xFF]) + key[1:]
+        assert aes128_program(key).content_key() == aes128_program(key).content_key()
+        assert aes128_program(key).content_key() != aes128_program(other_key).content_key()
+        inputs = random_inputs(4, mem_blocks={LAYOUT.state: 16}, seed=5)
+        clear_schedule_cache()
+        counts = []
+        for program in (aes128_program(key), aes128_program(key), aes128_program(other_key)):
+            engine = StreamingCampaign(program, entry="aes_main")
+            engine.compiled(inputs)
+            counts.append(engine._campaign.compile_count)
+        assert counts == [1, 0, 1]
+        assert schedule_cache_info() == (2, 2)
+
+    def test_distinct_programs_never_exceed_the_bound(self):
+        clear_schedule_cache()
+        inputs = make_inputs(n=4)
+        bound = engine_module._SCHEDULE_CACHE_SIZE
+        for shift in range(bound + 4):
+            src = SRC.replace("lsl r4, r3, #3", f"lsl r4, r3, #{shift}")
+            StreamingCampaign(assemble(src)).compiled(inputs)
+            assert schedule_cache_info()[1] <= bound
+        assert schedule_cache_info() == (bound, bound)
+        # Least recently used goes first: the oldest shifts were evicted.
+        before = schedule_compiles()
+        StreamingCampaign(assemble(SRC.replace("lsl r4, r3, #3", "lsl r4, r3, #0"))).compiled(inputs)
+        assert schedule_compiles() - before == 1
+
+    def test_repeated_figure4_runs_do_not_grow_the_cache(self):
+        from repro.api import Session
+
+        clear_schedule_cache()
+        session = Session()
+        entries = []
+        for seed in (1, 2, 3, 4):
+            session.run("figure4", precision="float32", seed=seed)
+            gc.collect()
+            entries.append(schedule_cache_info()[1])
+        # The prototype (windowless) and the windowed compile, once.
+        assert entries == [2, 2, 2, 2]
 
     def test_acquire_then_stream_compiles_once(self):
         program = assemble(SRC)

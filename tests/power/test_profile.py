@@ -61,3 +61,24 @@ class TestAblationHelpers:
         profile = LeakageProfile(kind_weights={})
         registry = component_registry()
         assert profile.weights_for(registry["mdr"]).silent
+
+
+class TestIdentity:
+    def test_equal_content_shares_an_identity(self):
+        profile = cortex_a7_profile()
+        assert profile.identity() == cortex_a7_profile().identity()
+        hash(profile.identity())
+        # The display name is not part of what leaks.
+        renamed = LeakageProfile(name="renamed")
+        assert renamed.identity() == profile.identity()
+
+    def test_weights_and_gain_change_the_identity(self):
+        profile = cortex_a7_profile()
+        variants = (
+            profile.with_override("mdr", ComponentWeights(0, 0)),
+            profile.with_kind(ComponentKind.WB_BUS, ComponentWeights(0, 0)),
+            profile.with_leaky_rf(),
+            LeakageProfile(gain=2.0),
+        )
+        identities = {profile.identity(), *(v.identity() for v in variants)}
+        assert len(identities) == 1 + len(variants)

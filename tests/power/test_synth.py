@@ -225,7 +225,23 @@ class TestPackedEvaluation:
         regs = {Reg.R1: np.array([1], dtype=np.uint32), Reg.R9: np.array([0x30000], dtype=np.uint32)}
         table = tape.run(1, regs=regs).table
         profile = cortex_a7_profile()
-        leakage.evaluate(table, profile)
-        plan_first = leakage._packed_plans[(id(table.layout), id(profile))]
-        leakage.evaluate(table, profile)
-        assert leakage._packed_plans[(id(table.layout), id(profile))] is plan_first
+
+        def plan_for(profile):
+            leakage.evaluate(table, profile)
+            return leakage._packed_plans[(id(table.layout), profile.identity())]
+
+        plan_first = plan_for(profile)
+        # Same layout and profile content -> the same plan, whether the
+        # profile is the same object or a separately built equal one.
+        assert plan_for(profile) is plan_first
+        assert plan_for(cortex_a7_profile()) is plan_first
+        assert len(leakage._packed_plans) == 1
+        # Any weight or gain difference -> a plan of its own.
+        variants = (
+            profile.with_override("align_store", ComponentWeights(2.0, 0.1)),
+            profile.with_kind(ComponentKind.ALU_OUT, ComponentWeights(0.0, 0.5)),
+            dataclasses.replace(profile, gain=2.0),
+        )
+        plans = [plan_for(variant) for variant in variants]
+        assert len({id(plan) for plan in [plan_first, *plans]}) == 4
+        assert len(leakage._packed_plans) == 4

@@ -114,6 +114,31 @@ class TestScheduleDedup:
         result = SweepCampaign(spec, n_traces=48, seed=0xDEA).run()
         assert result.compile_stats == (1, 3)
 
+    def test_repeated_sweep_reports_no_compiles(self):
+        clear_schedule_cache()
+        spec = SweepSpec.from_grid("repeat", {"dual_issue": (True, False)})
+        first = SweepCampaign(spec, n_traces=48, seed=0xDEB).run()
+        assert first.compile_stats == (2, 2)
+        # Same program content, fresh Program object: nothing recompiles,
+        # whatever the seed, and the report says so.
+        for seed in (0xDEB, 0xDEC):
+            again = SweepCampaign(spec, n_traces=48, seed=seed).run()
+            assert again.compile_stats == (0, 2)
+        assert "compiled schedules: 0 for 2 points" in again.render()
+        assert schedule_cache_info()[1] == 2
+
+    def test_forked_sweep_reports_the_structural_bound(self):
+        from repro.backends.pools import fork_available
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        spec = SweepSpec.from_grid("forked", {"dual_issue": (True, False)})
+        SweepCampaign(spec, n_traces=48, seed=0xDED).run()
+        # Workers compile in caches the parent cannot see, so the
+        # report falls back to the distinct (config, scope) pairs.
+        forked = SweepCampaign(spec, n_traces=48, seed=0xDED, jobs=2, backend="fork").run()
+        assert forked.compile_stats == (2, 2)
+
 
 class TestJobsDeterminism:
     @pytest.mark.parametrize("chunk_size", (None, 64))
