@@ -14,7 +14,6 @@ serial   the in-process reference
 fork     a fork pool per call (copy-on-write state sharing)
 spawn    a spawn pool per call (pickle-safe declarative tasks)
 pool     a persistent worker pool, reused until ``close()``
-numba    serial with the JIT'd packed-tape evaluator (needs numba)
 ======== ==============================================================
 
 Every backend is byte-identical to serial for float32 campaigns; see
@@ -45,7 +44,6 @@ from repro.backends.base import (
     SerialBackend,
     run_chunk_task,
 )
-from repro.backends.numba_tape import NumbaTapeBackend, numba_available
 from repro.backends.pools import (
     ForkBackend,
     PoolBackend,
@@ -69,10 +67,10 @@ from repro.backends.resilience import (
 )
 
 #: every name ``resolve_backend`` accepts
-BACKEND_POLICIES = ("auto", "serial", "fork", "spawn", "pool", "numba")
+BACKEND_POLICIES = ("auto", "serial", "fork", "spawn", "pool")
 
-#: the subset a CLI user can ask for (pool/numba are API-level knobs:
-#: pool needs an owning scope, numba an optional dependency)
+#: the subset a CLI user can ask for (pool is an API-level knob: it
+#: needs an owning scope)
 CLI_BACKEND_CHOICES = ("auto", "serial", "fork", "spawn")
 
 
@@ -86,8 +84,6 @@ def make_backend(policy: str, jobs: int = 1) -> ExecutionBackend:
         return SpawnBackend(jobs)
     if policy == "pool":
         return PoolBackend(jobs)
-    if policy == "numba":
-        return NumbaTapeBackend()
     raise ValueError(f"unknown backend policy {policy!r}; expected one of {BACKEND_POLICIES}")
 
 
@@ -124,14 +120,11 @@ def resolve_backend(
         if isinstance(backend, ForkBackend):
             backend._check_available()
         # Nothing to fan out: spinning up a pool for one worker or one
-        # chunk only adds fork/pickle overhead (BENCH_backends.json had
-        # fork at jobs=1 around half the serial throughput), and serial
-        # is byte-identical by contract.  Availability stays strict —
-        # the checks above ran — and 'numba' is excluded because it
-        # changes the evaluator, not just the dispatch.
-        if policy in ("fork", "spawn", "pool") and (
-            jobs <= 1 or (n_tasks is not None and n_tasks <= 1)
-        ):
+        # chunk only adds fork/pickle overhead (fork at jobs=1 measured
+        # around half the serial throughput), and serial is
+        # byte-identical by contract.  Availability stays strict — the
+        # checks above ran.
+        if jobs <= 1 or (n_tasks is not None and n_tasks <= 1):
             return SerialBackend(), True
         return backend, True
 
@@ -182,7 +175,6 @@ __all__ = [
     "ExecutionBackend",
     "FaultReport",
     "ForkBackend",
-    "NumbaTapeBackend",
     "PoolBackend",
     "ResilienceContext",
     "RetryPolicy",
@@ -195,7 +187,6 @@ __all__ = [
     "fork_available",
     "is_quarantined",
     "make_backend",
-    "numba_available",
     "quarantine_backend",
     "quarantine_info",
     "resolve_backend",

@@ -18,8 +18,7 @@ points through it).
 Lifecycle: ``start()`` acquires worker resources (a no-op for the
 per-call pool backends), ``close()`` releases them, and backends are
 context managers.  ``describe()`` reports provenance metadata — backend
-name, start method, worker count, host core count, numba availability —
-that result envelopes and the benchmark harness embed so throughput
+name, start method, worker count, host core count — so throughput
 numbers stay interpretable across machines.
 """
 
@@ -279,7 +278,6 @@ class ExecutionBackend(abc.ABC):
             "workers": self.workers,
             "persistent": False,
             "cpu_count": os.cpu_count(),
-            "numba": _numba_available(),
         }
 
     @abc.abstractmethod
@@ -347,8 +345,3 @@ class SerialBackend(ExecutionBackend):
                 )
             yield task.index, task.lo, payload
 
-
-def _numba_available() -> bool:
-    from repro.backends.numba_tape import numba_available
-
-    return numba_available()

@@ -401,7 +401,7 @@ class StreamingCampaign:
           folds them here;
         * ``"worker"`` folds each chunk where it was acquired and ships
           only its compact sufficient-statistic state, so raw traces
-          never cross the process boundary (see ``BENCH_comms.json``).
+          never cross the process boundary.
 
         The resilience knobs behave exactly as for :meth:`stream`;
         worker-side validation inspects fold states (finiteness), and a

@@ -180,7 +180,7 @@ def run_figure3(
       and produces byte-identical results (see ``docs/resilience.md``);
     * ``reduce="worker"`` folds each chunk where it was acquired, so
       only the compact sufficient-statistic state crosses the process
-      boundary (see ``BENCH_comms.json``); the default (``None`` or
+      boundary; the default (``None`` or
       ``"parent"``) ships raw chunks and folds them in the parent.
     """
     program = round1_only_program(key)

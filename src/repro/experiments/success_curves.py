@@ -32,8 +32,8 @@ from repro.experiments.reporting import render_table
 from repro.power.acquisition import random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack, cpa_attack_curve
-from repro.sca.distinguish import success_rate, success_rate_curve
-from repro.sca.models import hd_consecutive_stores_model, hw_sbox_matrix, hw_sbox_model
+from repro.sca.distinguish import success_rate_curve
+from repro.sca.models import hd_consecutive_stores_model, hw_sbox_matrix
 
 
 @dataclass
@@ -128,12 +128,9 @@ def run_success_curves(
     cumulative pass per resampling; ``method="recompute"`` runs a
     from-scratch CPA per budget over the *same* prefix subsets —
     identical rates, recompute-per-budget cost (the equivalence
-    reference); ``method="legacy"`` is the seed implementation kept
-    verbatim as the benchmark baseline: independent random subsets per
-    (budget, repeat), the 256-guess model stack rebuilt inside every
-    attack.
+    reference).
     """
-    if method not in ("snapshot", "recompute", "legacy"):
+    if method not in ("snapshot", "recompute"):
         raise ValueError(f"unknown method {method!r}")
     program = round1_only_program(key)
     inputs = random_inputs(n_campaign, mem_blocks={LAYOUT.state: 16}, seed=seed)
@@ -160,34 +157,6 @@ def run_success_curves(
 
     known = key[byte_index]
     budgets = sorted({min(int(c), n_campaign) for c in trace_counts})
-
-    if method == "legacy":
-        # The seed implementation, verbatim: independent subsets per
-        # (budget, repeat), a full CPA — 256-model stack included —
-        # rebuilt from scratch inside every attack.
-        def hw_attack(indices: np.ndarray) -> int:
-            result = cpa_attack(
-                traces[indices],
-                lambda g: hw_sbox_model(plaintexts[indices], byte_index, g),
-            )
-            return result.best_guess
-
-        def hd_attack(indices: np.ndarray) -> int:
-            result = cpa_attack(
-                store_traces[indices],
-                lambda g: hd_consecutive_stores_model(
-                    plaintexts[indices], byte_index, (known, g)
-                ),
-            )
-            return result.best_guess
-
-        hw_rates = success_rate(
-            hw_attack, n_campaign, key[byte_index], budgets, n_repeats, seed=seed
-        )
-        hd_rates = success_rate(
-            hd_attack, n_campaign, key[byte_index + 1], budgets, n_repeats, seed=seed
-        )
-        return SuccessCurves(hw_model=hw_rates, hd_model=hd_rates, n_repeats=n_repeats)
 
     hw_models, hd_models = _model_matrices(plaintexts, byte_index, known)
     curve_dtype = np.float32 if engine.scope_config.precision == "float32" else np.float64

@@ -207,24 +207,6 @@ class LeakageSchedule:
         return (cycle - self.window[0]) * spc + min(spc - 1, int(round(phase * spc)))
 
 
-#: optional replacement evaluator for :meth:`_PackedPlan.evaluate`
-#: (installed by :class:`repro.backends.numba_tape.NumbaTapeBackend`).
-#: Called as ``hook(plan, table, dtype)``; returning ``None`` declines
-#: and the NumPy reference below runs instead.
-_PACKED_EVALUATE_HOOK = None
-
-
-def set_packed_evaluate_hook(hook):
-    """Install (or, with ``None``, remove) the packed-evaluate hook.
-
-    Returns the previously installed hook so callers can restore it.
-    """
-    global _PACKED_EVALUATE_HOOK
-    previous = _PACKED_EVALUATE_HOOK
-    _PACKED_EVALUATE_HOOK = hook
-    return previous
-
-
 class _PackedPlan:
     """A leakage schedule compiled against one packed value layout.
 
@@ -367,10 +349,6 @@ class _PackedPlan:
         Returned as the transpose view of a sample-major matrix, the
         same orientation the reference evaluator produces.
         """
-        if _PACKED_EVALUATE_HOOK is not None:
-            out = _PACKED_EVALUATE_HOOK(self, table, dtype)
-            if out is not None:
-                return out
         matrix = table.matrix
         n_traces = table.n_traces
         power = np.zeros((self.n_samples, n_traces), dtype=dtype)

@@ -1,21 +1,11 @@
 """Repo hygiene gates run as part of tier-1, not only in CI."""
 
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-
-
-def test_no_legacy_api_references_in_src():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    try:
-        from check_legacy_imports import violations
-    finally:
-        sys.path.pop(0)
-    assert violations(REPO_ROOT) == []
 
 
 def tracked_files():
@@ -48,11 +38,30 @@ def test_no_service_spool_state_is_committed():
     assert offenders == [], f"service spool state committed to git: {offenders}"
 
 
+@pytest.mark.parametrize("module", ("repro.service.loadgen", "repro.backends.numba_tape"))
+def test_retired_modules_stay_deleted(module):
+    import importlib.util
+
+    assert importlib.util.find_spec(module) is None
+
+
+def test_retired_bench_harness_stays_deleted():
+    """`perfbench/` is the one benchmark; the old harness, its legacy
+    import gate and its `BENCH_*.json` reports must not come back."""
+    offenders = [
+        path
+        for path in tracked_files()
+        if path in ("scripts/bench.py", "scripts/check_legacy_imports.py")
+        or (path.startswith("BENCH_") and path.endswith(".json"))
+    ]
+    assert offenders == []
+
+
 def test_no_bytecode_caches_are_committed():
     """No `__pycache__`/.pyc anywhere tracked — including scripts/.
 
-    `scripts/` is importable by the tier-1 suite (sys.path insertion
-    above), so running the tests compiles bytecode right next to
+    `scripts/` is importable by the tier-1 suite (some tests insert it
+    on sys.path), so running the tests compiles bytecode right next to
     tracked files; a careless `git add scripts` must not pick it up.
     """
     offenders = [

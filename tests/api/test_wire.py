@@ -165,6 +165,10 @@ class TestStrictParse:
         with pytest.raises(RequestSchemaError, match="backend"):
             RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": {"kind": "fork"}})
 
+    def test_rejects_unknown_backend_policy(self):
+        with pytest.raises(RequestSchemaError, match="backend"):
+            RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": "numba"})
+
     def test_collects_every_problem(self):
         with pytest.raises(RequestSchemaError) as excinfo:
             RunRequest.from_json(

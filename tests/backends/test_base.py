@@ -12,7 +12,6 @@ from repro.backends import (
     CampaignSpec,
     ChunkTask,
     SerialBackend,
-    numba_available,
 )
 from repro.power.acquisition import TraceCampaign
 from repro.power.scope import ScopeConfig
@@ -115,7 +114,9 @@ class TestSerialBackend:
         assert info["persistent"] is False
         assert info["workers"] == 1
         assert isinstance(info["cpu_count"], int)
-        assert info["numba"] == numba_available()
+
+    def test_describe_has_no_numba_field(self):
+        assert "numba" not in SerialBackend().describe()
 
     def test_map_items_is_ordered(self):
         assert SerialBackend().map_items(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]

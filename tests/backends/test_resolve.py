@@ -37,6 +37,13 @@ class TestMakeBackend:
         with pytest.raises(ValueError, match="unknown backend policy"):
             make_backend("threads")
 
+    def test_numba_is_not_a_policy(self):
+        from repro.backends import BACKEND_POLICIES
+
+        assert "numba" not in BACKEND_POLICIES
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            make_backend("numba", jobs=2)
+
 
 class TestResolveAuto:
     def test_jobs_one_resolves_serial(self):
@@ -83,6 +90,10 @@ class TestResolveExplicit:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend policy"):
             resolve_backend("threads", jobs=2)
+
+    def test_numba_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            resolve_backend("numba", jobs=2)
 
     def test_non_string_policy_raises(self):
         with pytest.raises(TypeError, match="policy"):

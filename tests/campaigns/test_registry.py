@@ -38,6 +38,18 @@ class TestBuiltins:
         assert registry.get("table1").has(Capability.REPS)
         assert not registry.get("table1").has(Capability.TRACES)
 
+    def test_every_scenario_declares_capabilities(self):
+        for scenario in registry.scenarios():
+            assert scenario.capabilities, scenario.name
+
+    def test_trace_budget_implies_traces_and_seed(self):
+        """Every scenario with a default trace budget declares the knobs
+        that budget is set through: they are not inferred from it."""
+        for scenario in registry.scenarios():
+            if scenario.default_traces is not None:
+                assert scenario.has(Capability.TRACES), scenario.name
+                assert scenario.has(Capability.SEED), scenario.name
+
     def test_unknown_scenario_raises_with_candidates(self):
         with pytest.raises(KeyError, match="figure3"):
             registry.get("figure99")
@@ -91,7 +103,7 @@ class TestCustomScenario:
 
     def test_run_none_resolves_scenario_defaults(self):
         """Scenario.run(None) must resolve per-scenario defaults through
-        RunRequest.resolve — not a global RunOptions() default."""
+        RunRequest.resolve — not a global default."""
         calls = []
         register(
             Scenario(
@@ -109,7 +121,7 @@ class TestCustomScenario:
             assert request.n_traces == 123
             assert request.jobs == 1
             # A trace-only scenario has no REPS capability: it must not
-            # inherit the legacy global reps=200 default.
+            # inherit a global reps default.
             assert request.reps is None
         finally:
             registry._REGISTRY.pop("_test-defaults", None)
@@ -130,97 +142,37 @@ class TestCustomScenario:
         finally:
             registry._REGISTRY.pop("_test-strict", None)
 
-
-class TestLegacyShims:
-    def test_run_options_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunRequest"):
-            from repro.campaigns.registry import RunOptions  # noqa: F401
-
-    def test_run_options_still_runs_leniently(self):
-        """Legacy RunOptions keeps the historical semantics for one
-        release: unsupported knobs are dropped, not an error."""
-        calls = []
-        register(
-            Scenario(
-                name="_test-legacy",
-                title="t",
-                description="d",
-                runner=calls.append,
-                default_traces=10,
-                capabilities=frozenset({Capability.TRACES}),
-            )
-        )
-        try:
-            with pytest.warns(DeprecationWarning):
-                from repro.campaigns.registry import RunOptions
-            registry.run("_test-legacy", RunOptions(n_traces=7, jobs=4, chunk_size=2))
-            (request,) = calls
-            assert request.n_traces == 7
-            assert request.chunk_size is None  # dropped, as the old CLI did
-            assert request.jobs == 1
-            # The old API forwarded reps unconditionally (default 200).
-            assert request.reps == 200
-        finally:
-            registry._REGISTRY.pop("_test-legacy", None)
-
-    def test_run_options_forwards_traces_reps_seed_unconditionally(self):
-        """A pre-capability registration (no supports_* booleans, no
-        capability set) must still receive n_traces/reps/seed — the old
-        runner contract forwarded them for every scenario."""
-        calls = []
-        register(
-            Scenario(
-                name="_test-legacy-bare",
-                title="t",
-                description="d",
-                runner=calls.append,
-                default_traces=1000,
-            )
-        )
-        try:
-            with pytest.warns(DeprecationWarning):
-                from repro.campaigns.registry import RunOptions
-            registry.run(
-                "_test-legacy-bare", RunOptions(n_traces=500, reps=300, seed=3)
-            )
-            (request,) = calls
-            assert request.n_traces == 500
-            assert request.reps == 300
-            assert request.seed == 3
-        finally:
-            registry._REGISTRY.pop("_test-legacy-bare", None)
-
-    def test_bare_legacy_registration_backfills_traces_and_seed(self):
-        """A pre-capability Scenario(..., default_traces=N) with no
-        supports_* booleans and no capability set must still accept
-        n_traces/seed through the strict API path."""
+    def test_run_rejects_anything_but_a_request(self):
         scenario = Scenario(
+            name="_test-typed",
+            title="t",
+            description="d",
+            runner=lambda request: request,
+        )
+        with pytest.raises(TypeError, match="RunRequest"):
+            scenario.run({"n_traces": 5})
+
+    def test_run_options_shim_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.campaigns import RunOptions  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.campaigns.registry import RunOptions  # noqa: F401, F811
+        assert not hasattr(RunRequest, "from_options")
+
+    def test_capabilities_are_the_only_declaration(self):
+        with pytest.raises(TypeError):
+            Scenario(
+                name="_test-supports",
+                title="t",
+                description="d",
+                runner=lambda request: request,
+                supports_chunking=True,
+            )
+        bare = Scenario(
             name="_test-bare",
             title="t",
             description="d",
             runner=lambda request: request,
             default_traces=1000,
         )
-        assert scenario.capabilities == frozenset(
-            {Capability.TRACES, Capability.SEED}
-        )
-        RunRequest(n_traces=5, seed=1).validate(scenario)
-
-    def test_supports_booleans_map_to_capabilities(self):
-        with pytest.warns(DeprecationWarning, match="supports_"):
-            scenario = Scenario(
-                name="_test-supports",
-                title="t",
-                description="d",
-                runner=lambda request: request,
-                default_traces=100,
-                supports_chunking=True,
-                supports_jobs=True,
-            )
-        assert scenario.has(Capability.CHUNKING)
-        assert scenario.has(Capability.JOBS)
-        assert not scenario.has(Capability.GRID)
-        # Legacy declarations predate TRACES/SEED: a scenario with a
-        # trace budget always accepted both.
-        assert scenario.has(Capability.TRACES)
-        assert scenario.has(Capability.SEED)
+        assert bare.capabilities == frozenset()

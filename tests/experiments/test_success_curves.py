@@ -41,9 +41,10 @@ class TestSnapshotEquivalence:
 
 
 class TestOptions:
-    def test_unknown_method_rejected(self):
+    @pytest.mark.parametrize("method", ("incremental", "legacy"))
+    def test_unknown_method_rejected(self, method):
         with pytest.raises(ValueError):
-            run_success_curves(method="incremental", **_FAST)
+            run_success_curves(method=method, **_FAST)
 
     def test_float32_precision_runs_and_ramps(self):
         curves = run_success_curves(precision="float32", **_FAST)

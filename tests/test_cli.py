@@ -48,6 +48,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["figure3", "--backend", "threads"])
 
+    def test_backend_numba_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", "--backend", "numba"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_format_choices(self):
         assert build_parser().parse_args(["table1", "--format", "json"]).format == "json"
         with pytest.raises(SystemExit):
