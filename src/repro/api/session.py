@@ -170,10 +170,11 @@ class Session:
         resolved = request.merged_defaults(applicable).resolve(scenario)
         resolved = self._materialize_backend(resolved)
         from repro.backends.resilience import collecting_faults
+        from repro.power.acquisition import device_memo
 
         start = time.perf_counter()
         try:
-            with collecting_faults() as report:
+            with collecting_faults() as report, device_memo():
                 result, notes = self._run_noting(scenario, resolved)
         except KeyboardInterrupt:
             # Release the session-owned pool before propagating: an

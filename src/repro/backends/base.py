@@ -297,12 +297,18 @@ def run_chunk_task(
     task: ChunkTask,
     transform: Callable[[np.ndarray], np.ndarray] | None,
 ) -> TraceSet:
-    """The one acquisition call every backend funnels a task through."""
+    """The one acquisition call every backend funnels a task through.
+
+    Only a task covering the whole batch (a single-chunk stream) may
+    share its device stage through the memo; a multi-chunk stream's
+    chunks never repeat, and holding one past its fold costs a chunk.
+    """
     return campaign.acquire(
         inputs.slice(task.lo, task.hi),
         power_transform=transform,
         scope_seed=task.scope_seed,
         trace_offset=task.trace_offset,
+        memoize=task.lo == 0 and task.hi >= inputs.n_traces,
     )
 
 

@@ -38,6 +38,8 @@ from typing import Any, Callable
 
 from repro.backends.resilience import active_report
 from repro.campaigns.accumulators import StatisticKindMismatch
+# Re-exported: checkpoint fingerprints and the device memo share one digest.
+from repro.power.acquisition import digest_inputs as digest_inputs
 
 #: Bump on any incompatible record-shape change; loaders reject other
 #: versions loudly instead of misreading them.
@@ -57,24 +59,6 @@ class CheckpointMismatch(CheckpointError):
 def checkpoint_fingerprint(payload: Any) -> str:
     """A stable digest identifying the work a checkpoint belongs to."""
     return hashlib.sha256(pickle.dumps(payload)).hexdigest()
-
-
-def digest_inputs(inputs: Any) -> str:
-    """Content digest of a :class:`BatchInputs` batch.
-
-    The shape signature is not enough — resuming against a same-shaped
-    but different-valued batch would silently splice two campaigns — so
-    the fingerprint covers the actual register and memory values.
-    """
-    digest = hashlib.sha256()
-    digest.update(str(inputs.n_traces).encode())
-    for reg in sorted(inputs.regs, key=repr):
-        digest.update(repr(reg).encode())
-        digest.update(inputs.regs[reg].tobytes())
-    for address in sorted(inputs.mem_bytes):
-        digest.update(str(address).encode())
-        digest.update(inputs.mem_bytes[address].tobytes())
-    return digest.hexdigest()
 
 
 class CheckpointStore:

@@ -57,7 +57,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends.resilience import active_report, next_rung
-from repro.campaigns.checkpoint import Checkpointer, checkpoint_fingerprint, digest_inputs
+from repro.campaigns.checkpoint import Checkpointer, checkpoint_fingerprint
 from repro.isa.program import Program
 from repro.power.acquisition import (
     BatchInputs,
@@ -65,6 +65,7 @@ from repro.power.acquisition import (
     TraceCampaign,
     TraceSet,
     derive_seed,
+    digest_inputs,
 )
 from repro.power.profile import LeakageProfile
 from repro.power.scope import Oscilloscope, ScopeConfig
@@ -837,18 +838,12 @@ class StreamingCampaign:
             return
         if len(bounds) <= 1:
             return
-        compiled = self.compiled(inputs)
         k = min(config.calibration_traces, inputs.n_traces)
-        result, compiled = campaign._run_checked(
-            inputs.slice(0, k), compiled, reused=True
-        )
-        # Evaluate the prefix in the campaign's own dtype so the pinned
-        # value is bit-identical to what a monolithic float32 capture
-        # would self-calibrate from.
-        power = compiled.leakage.evaluate(
-            result.table,
-            campaign.profile,
-            dtype=np.float32 if campaign.precision == "float32" else np.float64,
+        # The device stage evaluates the prefix in the campaign's own
+        # dtype, so the pinned value is bit-identical to what a
+        # monolithic float32 capture would self-calibrate from.
+        _result, _compiled, power = campaign.device_stage(
+            inputs.slice(0, k), self.compiled(inputs), reused=True, memoize=False
         )
         if power_transform is not None:
             power = power_transform(power)

@@ -80,6 +80,7 @@ class Scenario:
         place.
         """
         from repro.api.request import RunRequest
+        from repro.power.acquisition import device_memo
 
         if request is None:
             request = RunRequest()
@@ -88,7 +89,8 @@ class Scenario:
                 "Scenario.run takes a RunRequest or None, "
                 f"got {type(request).__name__}"
             )
-        return self.runner(request.resolve(self))
+        with device_memo():
+            return self.runner(request.resolve(self))
 
 
 _REGISTRY: dict[str, Scenario] = {}

@@ -9,6 +9,8 @@ address-generation leakage model all see realistic addresses.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
@@ -38,7 +40,11 @@ class Program:
     source: str = ""
 
     def __post_init__(self) -> None:
+        # Both assume the program does not change after construction.
         self._by_address = {instr.address: instr for instr in self.instructions}
+        self._content_key = hashlib.sha256(
+            pickle.dumps(self._content(), protocol=pickle.HIGHEST_PROTOCOL)
+        ).hexdigest()
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -66,15 +72,24 @@ class Program:
     def index_of_address(self, address: int) -> int:
         return self.instruction_at(address).index
 
-    def content_key(self) -> tuple:
-        """Everything a schedule compile reads, as a hashable tuple.
+    def content_key(self) -> str:
+        """A digest of everything a schedule compile reads.
 
         Two separately assembled copies of one program share a key, so
-        caches keyed on it survive re-assembly.  ``source`` is left out
-        (directly built programs have none).  ``Reg`` is an ``IntEnum``,
-        so a register shift amount or memory offset compares equal to the
-        immediate of the same number; which of the two each instruction
-        carries is keyed separately.
+        caches keyed on it survive re-assembly.  Computed once, at
+        construction, so a cache lookup hashes a short string.  The
+        digest is over the pickled content, which reconstructs equal
+        objects, so different programs never share a key.
+        """
+        return self._content_key
+
+    def _content(self) -> tuple:
+        """The canonical content :meth:`content_key` digests.
+
+        ``source`` is left out (directly built programs have none).
+        ``Reg`` is an ``IntEnum``, so a register shift amount or memory
+        offset compares equal to the immediate of the same number; which
+        of the two each instruction carries is keyed separately.
         """
         return (
             self.text_base,

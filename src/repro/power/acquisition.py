@@ -9,12 +9,24 @@ the schedule, the per-component sample map).
 
 The control-flow path of every batch execution is verified against the
 compile-time path, enforcing the data-independent-timing assumption.
+
+An acquisition runs in two stages.  The deterministic *device stage*
+replays the tape and evaluates leakage into noise-free power; the seeded
+*capture stage* applies the power transform and the oscilloscope.  Inside
+a :func:`device_memo` context (every ``Session.run``/``Scenario.run``
+opens one) the device stage's latest output is kept, so acquisitions
+that differ only in transform, scope or seed -- Figure 4's three
+campaigns, a sweep's scope-only points -- replay the device once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -94,6 +106,94 @@ class CompiledAcquisition:
 
     def __getitem__(self, index: int):
         return (self.path, self.schedule, self.leakage)[index]
+
+
+def digest_inputs(inputs: Any) -> str:
+    """Content digest of a :class:`BatchInputs` batch.
+
+    The shape signature is not enough -- a same-shaped but
+    different-valued batch must never stand in for another (a resumed
+    checkpoint, a memoized device stage) -- so the digest covers the
+    actual register and memory values.
+    """
+    digest = hashlib.sha256()
+    digest.update(str(inputs.n_traces).encode())
+    for reg in sorted(inputs.regs, key=repr):
+        digest.update(repr(reg).encode())
+        digest.update(inputs.regs[reg].tobytes())
+    for address in sorted(inputs.mem_bytes):
+        digest.update(str(address).encode())
+        digest.update(inputs.mem_bytes[address].tobytes())
+    return digest.hexdigest()
+
+
+class DeviceMemo:
+    """The most recent device-stage output of one call, for reuse.
+
+    An entry is keyed on the :class:`CompiledAcquisition` object it was
+    replayed on (compared by identity) plus everything else the device
+    stage reads: the inputs' content digest, the leakage profile's
+    identity, the evaluate dtype and the replay path.  Only one entry is
+    kept: a call's acquisitions that share a device stage run back to
+    back.  The memo belongs to the process that opened it; a forked
+    worker inheriting it neither looks up nor stores.
+    """
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self._compiled: CompiledAcquisition | None = None
+        self._key: tuple | None = None
+        self._value: tuple | None = None
+        #: device stages served from the memo / stored into it
+        self.hits = 0
+        self.stores = 0
+
+    def __len__(self) -> int:
+        return 0 if self._value is None else 1
+
+    def get(self, compiled: CompiledAcquisition, key: tuple) -> tuple | None:
+        if self._compiled is compiled and self._key == key:
+            self.hits += 1
+            return self._value
+        return None
+
+    def put(self, compiled: CompiledAcquisition, key: tuple, value: tuple) -> None:
+        self._compiled, self._key, self._value = compiled, key, value
+        self.stores += 1
+
+    def clear(self) -> None:
+        self._compiled = self._key = self._value = None
+
+
+_DEVICE_MEMO: ContextVar[DeviceMemo | None] = ContextVar("repro_device_memo", default=None)
+
+
+@contextmanager
+def device_memo() -> Iterator[DeviceMemo]:
+    """Share device stages across the acquisitions of the enclosed call.
+
+    A nested entry reuses the enclosing memo; the outermost exit drops
+    what the memo holds, so nothing outlives the call that opened it.
+    """
+    memo = _DEVICE_MEMO.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = DeviceMemo()
+    token = _DEVICE_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _DEVICE_MEMO.reset(token)
+        memo.clear()
+
+
+def active_device_memo() -> DeviceMemo | None:
+    """The memo of an enclosing :func:`device_memo` in this process."""
+    memo = _DEVICE_MEMO.get()
+    if memo is None or memo.pid != os.getpid():
+        return None
+    return memo
 
 
 def derive_seed(base: int, stream: int) -> int:
@@ -307,6 +407,75 @@ class TraceCampaign:
                 )
         return result, compiled
 
+    def device_stage(
+        self,
+        inputs: BatchInputs,
+        compiled: CompiledAcquisition,
+        reused: bool,
+        memoize: bool = True,
+    ) -> tuple[object, CompiledAcquisition, np.ndarray]:
+        """Replay the batch and evaluate its noise-free power.
+
+        Returns ``(result, compiled, power)``.  This half of an
+        acquisition is deterministic, so inside a :func:`device_memo` an
+        output already checked for identical inputs on the identical
+        compiled object is reused instead of replayed.  Schedules
+        compiled per batch, recompiled (divergent) paths and
+        ``memoize=False`` callers never touch the memo.  A stored
+        ``power`` and value matrix are made read-only, so a consumer
+        writing into them raises instead of corrupting a later
+        acquisition.
+        """
+        dtype = np.float32 if self.precision == "float32" else np.float64
+        shareable = memoize and self._schedule_input_independent()
+        memo = active_device_memo() if shareable else None
+        if memo is not None:
+            key = (digest_inputs(inputs), self.profile.identity(), dtype, self.use_tape)
+            stored = memo.get(compiled, key)
+            if stored is not None:
+                return stored
+        result, checked = self._run_checked(inputs, compiled, reused)
+        power = checked.leakage.evaluate(result.table, self.profile, dtype=dtype)
+        if memo is not None and checked is compiled:
+            power.flags.writeable = False
+            matrix = getattr(result.table, "matrix", None)
+            if matrix is not None:
+                matrix.flags.writeable = False
+            memo.put(compiled, key, (result, checked, power))
+        return result, checked, power
+
+    def capture_stage(
+        self,
+        power: np.ndarray,
+        extra_noise: np.ndarray | None = None,
+        power_transform=None,
+        scope_seed: int | None = None,
+        trace_offset: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Apply the power transform and the oscilloscope chain.
+
+        Returns ``(traces, power)`` with ``power`` as transformed.  Every
+        call counts as one acquisition (``acquire_count``), so default
+        scope seeds advance whether or not the device stage was shared.
+        """
+        if power_transform is not None:
+            power = power_transform(power)
+        if scope_seed is None:
+            scope_seed = derive_seed(self.seed, self.acquire_count)
+        self.acquire_count += 1
+        scope = Oscilloscope(self.scope_config, seed=scope_seed)
+        traces = scope.capture(
+            power,
+            extra_noise=extra_noise,
+            trace_offset=trace_offset,
+            full_scale=self.pinned_full_scale,
+        )
+        if self.precision == "float32" and self.pinned_full_scale is None:
+            # Pin the resolved auto-range so every later acquisition
+            # (and every chunk of a streamed run) shares one LSB.
+            self.pinned_full_scale = scope.last_full_scale
+        return traces, power
+
     def acquire(
         self,
         inputs: BatchInputs,
@@ -314,6 +483,7 @@ class TraceCampaign:
         power_transform=None,
         scope_seed: int | None = None,
         trace_offset: int = 0,
+        memoize: bool = True,
     ) -> TraceSet:
         """Acquire one campaign of traces for the given inputs.
 
@@ -328,6 +498,10 @@ class TraceCampaign:
         over the same inputs measure independent noise.  In float32
         mode the engine instead shares one counter-based stream across
         chunks and passes each chunk's ``trace_offset`` into it.
+
+        ``memoize=False`` keeps the device stage out of the memo (the
+        chunks of a multi-chunk stream: holding one past its fold would
+        cost a chunk's worth of memory for no reuse).
         """
         inputs.validate()
         reused = (
@@ -348,34 +522,19 @@ class TraceCampaign:
         else:
             compiled = self.compile_with(inputs)
 
-        result, compiled = self._run_checked(inputs, compiled, reused)
-        schedule, leakage = compiled.schedule, compiled.leakage
-
-        float32 = self.precision == "float32"
-        power = leakage.evaluate(
-            result.table, self.profile, dtype=np.float32 if float32 else np.float64
-        )
-        if power_transform is not None:
-            power = power_transform(power)
-        if scope_seed is None:
-            scope_seed = derive_seed(self.seed, self.acquire_count)
-        self.acquire_count += 1
-        scope = Oscilloscope(self.scope_config, seed=scope_seed)
-        traces = scope.capture(
+        result, compiled, power = self.device_stage(inputs, compiled, reused, memoize)
+        traces, power = self.capture_stage(
             power,
             extra_noise=extra_noise,
+            power_transform=power_transform,
+            scope_seed=scope_seed,
             trace_offset=trace_offset,
-            full_scale=self.pinned_full_scale,
         )
-        if float32 and self.pinned_full_scale is None:
-            # Pin the resolved auto-range so every later acquisition
-            # (and every chunk of a streamed run) shares one LSB.
-            self.pinned_full_scale = scope.last_full_scale
         return TraceSet(
             traces=traces,
             inputs=inputs,
-            schedule=schedule,
-            leakage=leakage,
+            schedule=compiled.schedule,
+            leakage=compiled.leakage,
             table=result.table,
             path=result.path,
             power=power if self.keep_power else None,

@@ -7,7 +7,11 @@ into points and runs each through the existing
 compiled-schedule cache deduplicates compilation across every point
 whose structural config (``PipelineConfig.identity()``) matches: a grid
 that also sweeps acquisition knobs (``scope.noise_sigma``) or renamed
-variants compiles each distinct pipeline exactly once.
+variants compiles each distinct pipeline exactly once.  Points sharing a
+schedule also share one device stage (tape replay and leakage
+evaluation) through the call's device memo
+(:func:`repro.power.acquisition.device_memo`), so a scope-only grid
+replays the device once.
 
 Each point is scored by one :class:`~repro.sweeps.metrics.SweepMetricsFold`
 handed to :meth:`~repro.campaigns.engine.StreamingCampaign.reduce` (CPA
@@ -35,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import ExecutionBackend, SerialBackend, resolve_backend
-from repro.campaigns.engine import StreamingCampaign, schedule_compiles
+from repro.backends import ExecutionBackend, resolve_backend
+from repro.campaigns.engine import StreamingCampaign
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.reporting import render_table
 from repro.power.acquisition import BatchInputs, random_inputs
@@ -138,7 +142,8 @@ class SweepResult:
     n_traces: int
     budgets: tuple[int, ...]
     points: list[SweepPointResult]
-    #: (compiled schedules, points) — how much the cache deduplicated
+    #: (distinct compiled schedules, points) — how much the schedule
+    #: cache deduplicates across the grid
     compile_stats: tuple[int, int]
     seconds: float
     seed: int
@@ -400,7 +405,6 @@ class SweepCampaign:
                 self._sweep_fingerprint(points), n_chunks=len(points)
             )
         pending = [i for i in range(len(points)) if i not in done]
-        compiles_before = schedule_compiles()
         resolved, owned = resolve_backend(
             self.backend, jobs=self.jobs, n_tasks=max(1, len(pending))
         )
@@ -431,16 +435,13 @@ class SweepCampaign:
         if checkpointer is not None:
             checkpointer.finalize()
         results = [done_results[i] for i in range(len(points))]
-        if isinstance(resolved, SerialBackend):
-            compiled = schedule_compiles() - compiles_before
-        else:
-            # Points ran in worker processes, whose caches the parent
-            # cannot observe: report the structural dedup bound — unique
-            # (config identity, scope cache component) pairs, the same
-            # distinction the engine's cache key draws.
-            compiled = len(
-                {(point.config.identity(), self._scope_identity(point)) for point in points}
-            )
+        # The distinct schedules the grid needs — unique (config
+        # identity, scope sample rate) pairs, the distinction the
+        # engine's cache key draws — not the compiles this process ran,
+        # so the envelope is the same warm or cold, serial or pooled.
+        compiled = len(
+            {(point.config.identity(), self._scope_identity(point)) for point in points}
+        )
         return SweepResult(
             spec=self.spec,
             workload=self.workload.name,

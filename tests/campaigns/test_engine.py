@@ -337,6 +337,25 @@ class TestScheduleCache:
         load_immediate = assemble("    ldr r0, [r9, #1]\n    bx lr")
         assert load_register.content_key() != load_immediate.content_key()
 
+    def test_separately_assembled_copy_shares_the_digest(self):
+        key = assemble(SRC).content_key()
+        assert isinstance(key, str) and len(key) == 64
+        assert assemble(SRC).content_key() == key
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("lsl r4, r3, #3", "lsl r4, r3, #4"),
+            (".byte 0", ".byte 1"),
+            ("buf:", "buffer:"),
+        ],
+        ids=["immediate", "data-byte", "label"],
+    )
+    def test_one_content_change_changes_the_digest(self, old, new):
+        base = SRC.replace("    .space 64", "    .byte 0\n    .space 63")
+        assert old in base
+        assert assemble(base.replace(old, new)).content_key() != assemble(base).content_key()
+
     def test_aes_key_byte_compiles_separately(self):
         key = bytes(range(16))
         other_key = bytes([0xFF]) + key[1:]

@@ -4,13 +4,12 @@ The compiled-schedule cache is keyed on program content, so a second
 run in one process reuses what the first compiled — with other seeds,
 other inputs and a freshly assembled program.  These pins run seed A
 then seed B in one process and require seed B's output to equal a cold
-seed-B run exactly, wall time aside.  Sweep-shaped results also report
-how many schedules their run compiled (0 when warm); that count
-describes the process, not the result, and is blanked like wall time.
+seed-B run exactly, wall time aside.  Sweep-shaped results report the
+distinct schedules their grid needs, not the compiles the process ran,
+so they compare unblanked too.
 """
 
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -32,27 +31,15 @@ CASES = {
     "corpus": ("corpus", dict()),
 }
 
-_COMPILE_REPORT = re.compile(r"compiled schedules: \d+ for \d+ points \(cache deduplicated \d+\)")
-
 
 def _stable(record):
-    """``record`` minus wall time and the sweep's compile count."""
+    """``record`` minus wall time."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
     try:
         from json_equal_modulo_seconds import stable
     finally:
         sys.path.pop(0)
-
-    def blank(value):
-        if isinstance(value, dict):
-            return {k: blank(v) for k, v in value.items() if k != "compiled_schedules"}
-        if isinstance(value, list):
-            return [blank(item) for item in value]
-        if isinstance(value, str):
-            return _COMPILE_REPORT.sub("compiled schedules: -", value)
-        return value
-
-    return json.dumps(blank(stable(record)), sort_keys=True)
+    return json.dumps(stable(record), sort_keys=True)
 
 
 def _run(name: str, seed: int, knobs: dict) -> str:
