@@ -1,7 +1,7 @@
 """Substrate throughput benchmarks (conventional pytest-benchmark use).
 
 These quantify the performance budget behind the experiment harness:
-assembler throughput, scalar vs vectorized execution, pipeline
+assembler throughput, scalar execution vs trace-tape replay, pipeline
 scheduling, leakage synthesis and CPA evaluation.
 """
 
@@ -11,7 +11,7 @@ import pytest
 from repro.crypto.aes_asm import LAYOUT, aes128_program, round1_only_program
 from repro.isa.executor import run_program
 from repro.isa.parser import assemble
-from repro.isa.vexec import VectorExecutor
+from repro.isa.vtrace import compile_tape
 from repro.power.acquisition import TraceCampaign, random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
@@ -48,18 +48,11 @@ def test_scalar_execute_aes(benchmark, aes_program):
     assert result.dynamic_length > 4000
 
 
-def test_vectorized_execute_aes_256_traces(benchmark, aes_program):
+def test_tape_replay_aes_256_traces(benchmark, aes_program, aes_records):
     rng = np.random.default_rng(0)
     pts = rng.integers(0, 256, size=(256, 16), dtype=np.uint16).astype(np.uint8)
-
-    def run():
-        vexec = VectorExecutor(aes_program, 256)
-        state = vexec.fresh_state()
-        state.memory.load_per_trace(LAYOUT.state, pts)
-        state.pc = aes_program.label_address("aes_main")
-        return vexec.run(state=state)
-
-    result = benchmark(run)
+    tape = compile_tape(aes_program, aes_records)
+    result = benchmark(tape.run, 256, mem_bytes={LAYOUT.state: pts})
     assert len(result.path) > 4000
 
 

@@ -98,7 +98,6 @@ class CampaignSpec:
     window_cycles: tuple[int, int] | None
     seed: int
     keep_power: bool
-    use_tape: bool
     pinned_full_scale: float | None
 
     @classmethod
@@ -112,7 +111,6 @@ class CampaignSpec:
             window_cycles=campaign.window_cycles,
             seed=campaign.seed,
             keep_power=campaign.keep_power,
-            use_tape=campaign.use_tape,
             pinned_full_scale=campaign.pinned_full_scale,
         )
 
@@ -126,7 +124,6 @@ class CampaignSpec:
             window_cycles=self.window_cycles,
             seed=self.seed,
             keep_power=self.keep_power,
-            use_tape=self.use_tape,
         )
         campaign.pinned_full_scale = self.pinned_full_scale
         return campaign
@@ -147,7 +144,6 @@ class CampaignSpec:
             self.entry,
             self.window_cycles,
             self.keep_power,
-            self.use_tape,
         )
         return hashlib.sha256(pickle.dumps(payload)).hexdigest()
 
@@ -163,7 +159,7 @@ class BackendContext:
     #: chunk 0's resolved transform, precomputed by the engine so the
     #: serial path evaluates ``factory(0)`` exactly once
     transform0: Callable[[np.ndarray], np.ndarray] | None = None
-    #: the parent's compiled triple, for slim-payload rewrapping
+    #: the parent's compiled acquisition, for slim-payload rewrapping
     compiled: CompiledAcquisition | None = None
     #: retry/watchdog/validation state (None: historical dispatch paths)
     resilience: "ResilienceContext | None" = None

@@ -71,10 +71,6 @@ from repro.power.profile import LeakageProfile
 from repro.power.scope import Oscilloscope, ScopeConfig
 from repro.uarch.config import PipelineConfig
 
-#: Backwards-compatible alias: the compiled triple grew a ``tape`` field
-#: but still unpacks as ``(path, schedule, leakage)``.
-CompiledSchedule = CompiledAcquisition
-
 #: Process-wide compiled-schedule cache, least recently used first.  It
 #: is keyed on what the compile reads (see
 #: :meth:`StreamingCampaign._cache_key`): the program's content, not the
@@ -208,8 +204,8 @@ class StreamingCampaign:
             inputs.signature(),
         )
 
-    def compiled(self, inputs: BatchInputs) -> CompiledSchedule:
-        """The (path, schedule, leakage) triple, compiled at most once.
+    def compiled(self, inputs: BatchInputs) -> CompiledAcquisition:
+        """The compiled acquisition (path, schedules, tape), compiled at most once.
 
         Consults the process-wide cache keyed by (program content,
         config, scope sample rate, entry, window, input shape) so
@@ -235,8 +231,7 @@ class StreamingCampaign:
             _SCHEDULE_CACHE.move_to_end(key)
             # Seed the inner campaign's own cache so acquire() skips the
             # reference-executor pass entirely.
-            self._campaign._compiled = compiled
-            self._campaign._compiled_signature = inputs.signature()
+            self._campaign.adopt(compiled, inputs)
         return compiled
 
     # -- acquisition ----------------------------------------------------
@@ -468,14 +463,13 @@ class StreamingCampaign:
                     task, self._rewrap(payload, inputs, lo, compiled)
                 )
             holder["acc"] = fold.merge_state(holder["acc"], task, payload)
-        path, schedule, leakage = compiled
         meta = TraceSet(
-            traces=np.empty((0, leakage.n_samples), dtype=np.float32),
+            traces=np.empty((0, compiled.leakage.n_samples), dtype=np.float32),
             inputs=inputs,
-            schedule=schedule,
-            leakage=leakage,
+            schedule=compiled.schedule,
+            leakage=compiled.leakage,
             table=None,
-            path=path,
+            path=compiled.path,
             power=None,
         )
         return ReducedCampaign(
@@ -487,7 +481,9 @@ class StreamingCampaign:
         )
 
     @staticmethod
-    def _rewrap(payload, inputs: BatchInputs, lo: int, compiled) -> TraceSet:
+    def _rewrap(
+        payload, inputs: BatchInputs, lo: int, compiled: CompiledAcquisition
+    ) -> TraceSet:
         """One dispatched raw chunk payload as a full :class:`TraceSet`."""
         if hasattr(payload, "materialize"):
             # shm descriptor: attach, unlink, wrap zero-copy (cached —
@@ -498,17 +494,16 @@ class StreamingCampaign:
             # different path (data-dependent branch direction): as-is.
             return payload
         # Common case: the worker's schedule matches the parent's
-        # compiled triple, so only the per-chunk data crossed the pipe;
-        # rewrap with shared objects.
+        # compiled acquisition, so only the per-chunk data crossed the
+        # pipe; rewrap with shared objects.
         traces, table, power = payload
-        path, schedule, leakage = compiled
         return TraceSet(
             traces=traces,
             inputs=inputs.slice(lo, lo + traces.shape[0]),
-            schedule=schedule,
-            leakage=leakage,
+            schedule=compiled.schedule,
+            leakage=compiled.leakage,
             table=table,
-            path=path,
+            path=compiled.path,
             power=power,
         )
 

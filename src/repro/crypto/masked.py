@@ -186,12 +186,10 @@ def run_masked_demo(
         )
         # Window the acquisition around the lookup + post-processing so
         # the table-construction loop (mask-independent) stays out.
-        path, schedule, _leakage = campaign.compile_with(inputs)
-        lookup_dyn = path.index(lookup_static)
-        window = (
-            schedule.issue_cycle[max(0, lookup_dyn - 4)],
-            schedule.issue_cycle[-1] + 6,
-        )
+        compiled = campaign.compile_with(inputs)
+        lookup_dyn = compiled.path.index(lookup_static)
+        issue = compiled.schedule.issue_cycle
+        window = (issue[max(0, lookup_dyn - 4)], issue[-1] + 6)
         campaign.window_cycles = window
         trace_set = campaign.acquire(inputs)
         pts = plaintexts.reshape(-1, 1).repeat(16, axis=1)  # adapt to the model API

@@ -37,12 +37,14 @@ from repro.campaigns.engine import StreamingCampaign
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
 from repro.campaigns.registry import Scenario, register
+from repro.isa.executor import Executor
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
+from repro.isa.vtrace import compile_tape
 from repro.power.acquisition import BatchInputs
 from repro.power.hamming import hamming_weight
 from repro.power.profile import LeakageProfile, cortex_a7_profile
-from repro.power.scope import ScopeConfig
+from repro.power.scope import Oscilloscope, ScopeConfig
 from repro.sca.stats import pearson_corr, prefix_pearson_corr, significance_threshold
 from repro.uarch.config import PipelineConfig
 from repro.uarch.pipeline import Pipeline
@@ -149,7 +151,7 @@ def _measure(
         jobs=jobs,
         backend=backend,
     )
-    _path, _schedule, leakage = engine.compiled(inputs)
+    leakage = engine.compiled(inputs).leakage
     samples: set[int] = set()
     for name in components:
         samples.update(int(s) for s in leakage.sample_positions(name))
@@ -454,27 +456,19 @@ def ablate_scalar_write_port(
     lines = _pad(["    mov r7, r5", "    mov r9, r6"])
     source = "\n".join(lines)
     program = assemble(source)
+    executor = Executor(program)
+    state = executor.fresh_state()
+    for reg, value in inputs.row(0)[1].items():
+        state.regs[reg] = value
+    records = executor.run(state=state).records
+    # Both pipeline models see the same values: one tape replay.
+    table = compile_tape(program, records).run(inputs.n_traces, regs=inputs.regs).table
 
     def measure_on(schedule_cls) -> float:
-        from repro.isa.executor import Executor
-        from repro.isa.vexec import VectorExecutor
-        from repro.power.scope import Oscilloscope
-
-        executor = Executor(program)
-        state = executor.fresh_state()
-        mem, regs = inputs.row(0)
-        for reg, value in regs.items():
-            state.regs[reg] = value
-        reference = executor.run(state=state)
         pipeline = schedule_cls()
-        schedule = pipeline.schedule(reference.records)
+        schedule = pipeline.schedule(records)
         leakage = LeakageSchedule(schedule, pipeline.components, samples_per_cycle=4)
-        vexec = VectorExecutor(program, inputs.n_traces)
-        vstate = vexec.fresh_state()
-        for reg, values in inputs.regs.items():
-            vstate.write_reg(reg, values)
-        result = vexec.run(state=vstate)
-        power = leakage.evaluate(result.table, cortex_a7_profile())
+        power = leakage.evaluate(table, cortex_a7_profile())
         traces = Oscilloscope(_ablation_scope(precision), seed=seed).capture(power)
         samples = sorted(
             {int(s) for name in _WB_LAYER for s in leakage.sample_positions(name)}

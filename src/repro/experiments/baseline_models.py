@@ -161,7 +161,7 @@ def _measure_case(
         jobs=jobs,
         backend=backend,
     )
-    _path, _schedule, leakage = engine.compiled(inputs)
+    leakage = engine.compiled(inputs).leakage
     base = program.instruction_at(program.label_address("bench_start")).index
     refs = tuple((base + pos, kind) for pos, kind in value_refs)
     samples = sorted(

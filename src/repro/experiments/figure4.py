@@ -146,7 +146,8 @@ class Figure4Result:
 
 def _subbytes_window(program, engine: StreamingCampaign, inputs) -> tuple[int, int]:
     """Cycle window covering round-1 SubBytes (first dynamic occurrence)."""
-    path, schedule, _leakage = engine.compiled(inputs)
+    compiled = engine.compiled(inputs)
+    path, schedule = compiled.path, compiled.schedule
     sb_static = program.instruction_at(program.label_address("sb_start")).index
     shr_static = program.instruction_at(program.label_address("shr_start")).index
     sb_dyn = path.index(sb_static)

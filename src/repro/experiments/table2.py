@@ -555,7 +555,8 @@ def run_table2(
             jobs=jobs,
             backend=backend,
         )
-        _path, schedule, leakage = engine.compiled(inputs)
+        compiled = engine.compiled(inputs)
+        schedule, leakage = compiled.schedule, compiled.leakage
         bench_base = program.instruction_at(program.label_address("bench_start")).index
         model_samples = [
             _model_samples(

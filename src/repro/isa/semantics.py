@@ -217,6 +217,11 @@ def _read_dp_operands(instr: Instruction, state: ArchState, record: InstrRecord)
         record.op1 = state.read_reg(instr.rn, instr.address)
     if isinstance(instr.op2, RegShift):
         record.op2 = state.read_reg(instr.op2.reg, instr.address)
+        if instr.op2.shift_by_register:
+            # The amount register is an operand read like the others:
+            # a squashed instruction still drives it (see Pipeline's
+            # register-file reads), it just never reaches the shifter.
+            record.op3 = state.read_reg(instr.op2.amount, instr.address) & 0xFF  # type: ignore[arg-type]
     elif isinstance(instr.op2, Imm):
         record.op2 = instr.op2.unsigned
     if instr.opcode is Opcode.MOVT and instr.rd is not None:
@@ -234,8 +239,7 @@ def _operand2_value(instr: Instruction, state: ArchState, record: InstrRecord) -
     if not op2.is_shifted:
         return value, carry
     if op2.shift_by_register:
-        amount = state.read_reg(op2.amount, instr.address) & 0xFF  # type: ignore[arg-type]
-        record.op3 = amount
+        amount = record.op3
     else:
         amount = op2.amount if op2.amount is not None else 0  # type: ignore[assignment]
     shifted, carry_out = barrel_shift(value, op2.kind, amount, carry)  # type: ignore[arg-type]

@@ -5,11 +5,13 @@ model.  For ``n_dyn`` dynamic instructions and ``n_traces`` independent
 runs (each with different random inputs), the table stores one
 ``uint32[n_dyn, n_traces]`` array per :class:`ValueKind`.
 
-The scalar executor fills it from per-trace ``InstrRecord`` lists; the
-vectorized executor produces the arrays directly.  Both paths require the
-control flow to be input-independent (the same dynamic path in every
-trace), which holds for constant-time code such as the benchmark kernels
-and the table-based AES, and is asserted.
+Two sources implement :class:`ValueSource`: the dense :class:`ValueTable`,
+filled from the scalar executor's per-trace ``InstrRecord`` lists (the
+reference the trace tape is tested against), and the tape's packed
+matrix (:class:`repro.isa.vtrace.PackedValues`), which every acquisition
+uses.  Both require the control flow to be input-independent (the same
+dynamic path in every trace), which holds for constant-time code such as
+the benchmark kernels and the table-based AES, and is asserted.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class ValueSource:
 class ValueTable(ValueSource):
     """Dense ``[n_dyn, n_traces]`` uint32 arrays, one per value kind.
 
-    Convenient for small programs and tests; long programs use the
-    sparse per-record storage the vectorized executor produces.
+    Built from per-trace scalar runs, it is the reference for small
+    programs and tests; acquisitions use the tape's packed matrix.
     """
 
     def __init__(self, arrays: dict[ValueKind, np.ndarray]):

@@ -17,17 +17,17 @@ n_traces]`` matrix (:class:`PackedValues`), whose row assignment — the
 final all-zeros row backs both explicit zero-drive events and values an
 instruction never produced.
 
-Replay verifies the uniform-control-flow contract exactly like the
-vectorized executor: conditions and indirect-branch targets must be
-uniform across the batch, and additionally must match the *recorded*
-outcome.  A uniform batch that takes a different (but still uniform)
-branch direction raises :class:`TapeDivergence`, which the acquisition
-layer treats like a compile-path mismatch: recompile against the batch
-at hand and retry.
+Replay verifies the uniform-control-flow contract: conditions and
+indirect-branch targets must be uniform across the batch, and must
+match the *recorded* outcome.  A uniform batch that takes a different
+(but still uniform) branch direction raises :class:`TapeDivergence`,
+which the acquisition layer answers by recompiling against the batch at
+hand and retrying.
 
-The scalar :class:`~repro.isa.executor.Executor` and the vectorized
-:class:`~repro.isa.vexec.VectorExecutor` remain the semantic reference;
-equivalence is property-tested in ``tests/isa/test_vtrace.py``.
+The tape is the only batch executor.  The scalar
+:class:`~repro.isa.executor.Executor` is its semantic reference: every
+retained value is property-tested against per-trace scalar runs in
+``tests/isa/test_vtrace.py``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ from repro.isa.program import Program
 from repro.isa.registers import Reg
 from repro.isa.semantics import HALT_ADDRESS, ExecutionError, InstrRecord
 from repro.isa.values import ValueKind, ValueSource
-from repro.isa.vexec import iter_page_chunks, vector_barrel_shift
 
 _U32 = np.uint32
 _U64 = np.uint64
 _WORD = np.uint64(0xFFFFFFFF)
 _LE = bool(np.little_endian)
+_PAGE_BITS = 12
+_PAGE_SIZE = 1 << _PAGE_BITS
+_PAGE_MASK = _PAGE_SIZE - 1
 
 
 class TapeDivergence(ExecutionError):
@@ -57,8 +59,7 @@ class TapeDivergence(ExecutionError):
     Raised when a condition outcome or an indirect-branch target is
     uniform across the batch but disagrees with the recorded reference
     run — the tape is valid for a *different* batch, so the caller
-    should recompile against this one (mirrors the path-mismatch retry
-    of the vectorized acquisition path).
+    should recompile against this one.
     """
 
 
@@ -124,6 +125,22 @@ class TapeResult:
 # ----------------------------------------------------------------------
 # Replay context
 # ----------------------------------------------------------------------
+
+
+def iter_page_chunks(address: int, length: int):
+    """Split ``[address, address + length)`` into per-page spans.
+
+    Yields ``(page_no, page_offset, data_offset, chunk_length)`` — the
+    one place the paging geometry is encoded for bulk writes (per-trace
+    inputs and the program's page images).
+    """
+    pos = 0
+    while pos < length:
+        page_no = (address + pos) >> _PAGE_BITS
+        offset = (address + pos) & _PAGE_MASK
+        chunk = min(_PAGE_SIZE - offset, length - pos)
+        yield page_no, offset, pos, chunk
+        pos += chunk
 
 
 class _TapeMemory:
@@ -287,6 +304,52 @@ def _never(ctx: _Ctx) -> None:  # pragma: no cover - defensive
 # ----------------------------------------------------------------------
 
 
+def vector_barrel_shift(
+    values: np.ndarray, kind: ShiftKind, amount: int, carry_in: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barrel shifter over a batch, for a run-time amount; mirrors scalar.
+
+    Register-specified shifts resolve their (uniform) amount only at
+    replay time, so they cannot use a compiled :func:`_compile_shift_imm`.
+    """
+    values = values.astype(_U32)
+    if kind is ShiftKind.RRX:
+        carry_out = (values & _U32(1)).astype(bool)
+        result = (values >> _U32(1)) | (carry_in.astype(_U32) << _U32(31))
+        return result, carry_out
+    if amount == 0:
+        return values, carry_in
+    if kind is ShiftKind.LSL:
+        if amount > 32:
+            return np.zeros_like(values), np.zeros_like(carry_in)
+        if amount == 32:
+            return np.zeros_like(values), (values & _U32(1)).astype(bool)
+        carry = ((values >> _U32(32 - amount)) & _U32(1)).astype(bool)
+        return values << _U32(amount), carry
+    if kind is ShiftKind.LSR:
+        if amount > 32:
+            return np.zeros_like(values), np.zeros_like(carry_in)
+        if amount == 32:
+            return np.zeros_like(values), (values >> _U32(31)).astype(bool)
+        carry = ((values >> _U32(amount - 1)) & _U32(1)).astype(bool)
+        return values >> _U32(amount), carry
+    if kind is ShiftKind.ASR:
+        amt = min(amount, 32)
+        signed = values.view(np.int32)
+        if amt == 32:
+            result = (signed >> np.int32(31)).view(_U32)
+            return result, (values >> _U32(31)).astype(bool)
+        carry = ((values >> _U32(amt - 1)) & _U32(1)).astype(bool)
+        return (signed >> np.int32(amt)).view(_U32), carry
+    if kind is ShiftKind.ROR:
+        amt = amount % 32
+        if amt == 0:
+            return values, (values >> _U32(31)).astype(bool)
+        result = (values >> _U32(amt)) | (values << _U32(32 - amt))
+        return result, (result >> _U32(31)).astype(bool)
+    raise AssertionError(f"unhandled shift kind {kind}")
+
+
 def _compile_shift_imm(
     kind: ShiftKind, amount: int
 ) -> Callable[[np.ndarray, _Ctx], tuple[np.ndarray, np.ndarray | None]]:
@@ -360,11 +423,12 @@ def _compile_shift_imm(
 
 
 def _produced_kinds(record: InstrRecord) -> list[tuple[ValueKind, ValueKind]]:
-    """(kind, canonical kind) pairs the vectorized executor would record.
+    """(kind, canonical kind) pairs one dynamic instruction produces.
 
     The canonical kind names the array actually computed; aliases share
-    its packed row (the reference executors store the same array object
-    under both keys).
+    its packed row (the two kinds carry the same value in the scalar
+    reference semantics).  A kind not listed here is all-zeros in the
+    scalar executor's records.
     """
     instr = record.instr
     produced: list[tuple[ValueKind, ValueKind]] = []

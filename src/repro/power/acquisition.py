@@ -1,14 +1,18 @@
 """Trace acquisition campaigns: program + random inputs -> trace matrix.
 
-A :class:`TraceCampaign` compiles a program's pipeline schedule once
-(data-independent timing), then for each batch of random inputs runs the
-vectorized executor, evaluates the compiled leakage schedule, and applies
-the oscilloscope model.  The result is a :class:`TraceSet`: the trace
-matrix plus everything an attack or a characterization needs (inputs,
-the schedule, the per-component sample map).
+A :class:`TraceCampaign` runs the scalar reference executor once, on
+the first trace of a batch, and compiles from it the pipeline schedule
+(data-independent timing), the leakage schedule and a trace tape
+(:mod:`repro.isa.vtrace`).  Each batch of random inputs then replays the
+tape, evaluates the compiled leakage schedule, and applies the
+oscilloscope model.  The result is a :class:`TraceSet`: the trace matrix
+plus everything an attack or a characterization needs (inputs, the
+schedule, the per-component sample map).
 
-The control-flow path of every batch execution is verified against the
-compile-time path, enforcing the data-independent-timing assumption.
+The tape pins every condition outcome of the compile-time run, so a
+batch whose control flow differs from it raises instead of being
+silently mis-scheduled: this enforces the data-independent-timing
+assumption.
 
 An acquisition runs in two stages.  The deterministic *device stage*
 replays the tape and evaluates leakage into noise-free power; the seeded
@@ -33,10 +37,8 @@ import numpy as np
 from repro.isa.executor import Executor
 from repro.isa.program import Program
 from repro.isa.registers import Reg
-from repro.isa.semantics import ExecutionError
 from repro.isa.values import ValueKind, ValueSource
-from repro.isa.vexec import VectorExecutor
-from repro.isa.vtrace import TapeDivergence, TraceTape, compile_tape
+from repro.isa.vtrace import TapeDivergence, TapeResult, TraceTape, compile_tape
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import Oscilloscope, ScopeConfig
 from repro.power.synth import LeakageSchedule
@@ -58,6 +60,12 @@ class BatchInputs:
         for address, data in self.mem_bytes.items():
             if data.ndim != 2 or data.shape[0] != self.n_traces:
                 raise ValueError(f"mem input at {address:#x} has shape {data.shape}")
+            if data.dtype != np.uint8:
+                # The compile pass writes the raw bytes of a row, the
+                # tape one byte per column: only uint8 agrees on both.
+                raise ValueError(
+                    f"mem input at {address:#x} has dtype {data.dtype}; expected uint8"
+                )
         for reg, values in self.regs.items():
             if values.shape != (self.n_traces,):
                 raise ValueError(f"register input {reg} has shape {values.shape}")
@@ -91,21 +99,15 @@ class BatchInputs:
 class CompiledAcquisition:
     """Everything compiled once per (program, config, window, inputs shape).
 
-    Iterates/indexes like the historical ``(path, schedule, leakage)``
-    triple so existing unpacking call sites keep working; ``tape`` is
-    the trace-compiled hot path the batch executor replays.
+    ``path`` is the dynamic path of the compile-time reference run,
+    ``schedule``/``leakage`` its pipeline and leakage schedules, and
+    ``tape`` the trace tape every batch replays.
     """
 
     path: list[int]
     schedule: Schedule
     leakage: LeakageSchedule
-    tape: TraceTape | None = None
-
-    def __iter__(self) -> Iterator:
-        return iter((self.path, self.schedule, self.leakage))
-
-    def __getitem__(self, index: int):
-        return (self.path, self.schedule, self.leakage)[index]
+    tape: TraceTape
 
 
 def digest_inputs(inputs: Any) -> str:
@@ -133,9 +135,8 @@ class DeviceMemo:
     An entry is keyed on the :class:`CompiledAcquisition` object it was
     replayed on (compared by identity) plus everything else the device
     stage reads: the inputs' content digest, the leakage profile's
-    identity, the evaluate dtype and the replay path.  Only one entry is
-    kept: a call's acquisitions that share a device stage run back to
-    back.  The memo belongs to the process that opened it; a forked
+    identity and the evaluate dtype.  Only one entry is kept: a call's
+    acquisitions that share a device stage run back to back.  The memo belongs to the process that opened it; a forked
     worker inheriting it neither looks up nor stores.
     """
 
@@ -243,7 +244,6 @@ class TraceCampaign:
         window_cycles: tuple[int, int] | None = None,
         seed: int = 0xC0FFEE,
         keep_power: bool = False,
-        use_tape: bool = True,
     ):
         self.program = program
         self.config = config if config is not None else PipelineConfig()
@@ -253,12 +253,9 @@ class TraceCampaign:
         self.window_cycles = window_cycles
         self.seed = seed
         self.keep_power = keep_power
-        #: replay the compiled tape (fast path); ``False`` falls back to
-        #: the instruction-dispatching vectorized executor (reference)
-        self.use_tape = use_tape
         self.pipeline = Pipeline(self.config)
         self._compiled: CompiledAcquisition | None = None
-        self._compiled_signature: tuple | None = None
+        self._compiled_key: tuple | None = None
         #: number of schedule compilations performed (regression-tested)
         self.compile_count = 0
         #: number of acquisitions performed (drives per-acquisition noise)
@@ -278,10 +275,11 @@ class TraceCampaign:
     def _schedule_input_independent(self) -> bool:
         """Is the compiled schedule valid for any same-shape batch?
 
-        Branch divergence is caught by the path check in ``acquire``,
-        but a conditionally-executed *non-branch* instruction appears in
-        the dynamic path either way, so its schedule may not be reused
-        across batches whose condition outcome could differ.
+        Only when every conditional instruction is a branch.  A
+        conditionally-executed *non-branch* instruction appears in the
+        dynamic path whichever way its condition goes, so the path
+        cannot tell such batches apart: these programs compile against
+        every batch instead of sharing one compile.
         """
         from repro.isa.opcodes import Cond
 
@@ -290,13 +288,25 @@ class TraceCampaign:
             for instr in self.program.instructions
         )
 
+    def _compile_key(self, inputs: BatchInputs) -> tuple:
+        """What a compile depends on beyond the campaign's fixed program,
+        config and scope: the input shape and the acquisition window."""
+        return (inputs.signature(), self.window_cycles)
+
+    def adopt(self, compiled: CompiledAcquisition, inputs: BatchInputs) -> None:
+        """Make ``compiled`` what :meth:`acquire` reuses for batches like
+        ``inputs`` (until the window or the input shape changes)."""
+        self._compiled = compiled
+        self._compiled_key = self._compile_key(inputs)
+
     def compile_with(self, inputs: BatchInputs) -> CompiledAcquisition:
         """Run the reference executor on trace 0 and compile the schedule.
 
-        Also trace-compiles the dynamic path into a replayable op tape
-        whose packed-value layout retains exactly the references the
-        leakage schedule gathers (window events plus each component's
-        pre-window bus state).
+        Also trace-compiles the dynamic path into a replayable op tape.
+        A windowed campaign's tape retains every value in the dynamic
+        range the leakage schedule references (window events plus each
+        component's pre-window bus state); a windowless one retains
+        everything.
         """
         inputs.validate()
         self.compile_count += 1
@@ -315,79 +325,40 @@ class TraceCampaign:
             samples_per_cycle=self.scope_config.samples_per_cycle,
             window=self.window_cycles,
         )
-        tape = None
-        if self.use_tape:
-            # Windowed campaigns retain every value inside the dynamic
-            # range the compiled leakage schedule references (the same
-            # acquisition-window memory cap as the vectorized executor's
-            # keep_range); windowless campaigns retain everything, so
-            # the TraceSet table contract is identical on both paths.
-            keep = None
-            if self.window_cycles is not None:
-                referenced = [
-                    dyn
-                    for compiled in leakage.compiled.values()
-                    for (dyn, _kind) in compiled.refs
-                    if dyn >= 0
-                ]
-                lo = min(referenced) if referenced else 0
-                hi = max(referenced) + 1 if referenced else 0
-                keep = {
-                    (dyn, kind) for dyn in range(lo, hi) for kind in ValueKind
-                }
-            tape = compile_tape(self.program, result.records, keep=keep)
-        self._compiled = CompiledAcquisition(
-            path=result.path, schedule=schedule, leakage=leakage, tape=tape
-        )
-        self._compiled_signature = inputs.signature()
-        return self._compiled
-
-    def _run_batch(self, inputs: BatchInputs, compiled: CompiledAcquisition):
-        """One batch execution: tape replay, or the vectorized executor.
-
-        The tape is the fast path (no per-step decode, packed values);
-        the vectorized executor remains as the dispatching reference
-        (``use_tape=False``) and for campaigns without a compiled tape.
-        """
-        if self.use_tape and compiled.tape is not None:
-            return compiled.tape.run(
-                inputs.n_traces, regs=inputs.regs, mem_bytes=inputs.mem_bytes
-            )
-        keep_range: tuple[int, int] | None = None
+        keep = None
         if self.window_cycles is not None:
-            # Retain exactly the dynamic range the compiled leakage
-            # schedule references (window events plus each component's
-            # pre-window bus state).
             referenced = [
                 dyn
-                for c in compiled.leakage.compiled.values()
-                for (dyn, _kind) in c.refs
+                for compiled in leakage.compiled.values()
+                for (dyn, _kind) in compiled.refs
                 if dyn >= 0
             ]
-            if referenced:
-                keep_range = (min(referenced), max(referenced) + 1)
-            else:
-                keep_range = (0, 0)
+            lo = min(referenced) if referenced else 0
+            hi = max(referenced) + 1 if referenced else 0
+            keep = {(dyn, kind) for dyn in range(lo, hi) for kind in ValueKind}
+        tape = compile_tape(self.program, result.records, keep=keep)
+        compiled = CompiledAcquisition(
+            path=result.path, schedule=schedule, leakage=leakage, tape=tape
+        )
+        self.adopt(compiled, inputs)
+        return compiled
 
-        vexec = VectorExecutor(self.program, inputs.n_traces, keep_range=keep_range)
-        vstate = vexec.fresh_state()
-        assert vstate.memory is not None
-        for reg, values in inputs.regs.items():
-            vstate.write_reg(reg, values.astype(np.uint32))
-        for address, data in inputs.mem_bytes.items():
-            vstate.memory.load_per_trace(address, np.asarray(data, dtype=np.uint8))
-        return vexec.run(state=vstate, entry=self.entry)
+    @staticmethod
+    def _run_batch(inputs: BatchInputs, compiled: CompiledAcquisition) -> TapeResult:
+        return compiled.tape.run(
+            inputs.n_traces, regs=inputs.regs, mem_bytes=inputs.mem_bytes
+        )
 
     def _run_checked(
         self, inputs: BatchInputs, compiled: CompiledAcquisition, reused: bool
-    ) -> tuple[object, CompiledAcquisition]:
-        """Run the batch, enforcing the compile-time path.
+    ) -> tuple[TapeResult, CompiledAcquisition]:
+        """Replay the batch on the compiled tape.
 
-        A cached schedule compiled against a *different* batch may pin
-        the wrong (but uniform) branch directions; both the tape
-        (:class:`TapeDivergence`) and the vectorized executor (path
-        mismatch) surface that, and both trigger one recompile against
-        the batch at hand before declaring real divergence.
+        A cached tape compiled against a *different* batch may pin the
+        wrong (but uniform) branch directions.  The replay raises
+        :class:`TapeDivergence` for that, and a reused compile is then
+        recompiled against the batch at hand and replayed once more; a
+        fresh compile that diverges is real input-dependent control flow.
         """
         try:
             result = self._run_batch(inputs, compiled)
@@ -396,15 +367,6 @@ class TraceCampaign:
                 raise
             compiled = self.compile_with(inputs)
             result = self._run_batch(inputs, compiled)
-        if result.path != compiled.path:
-            if reused:
-                compiled = self.compile_with(inputs)
-                result = self._run_batch(inputs, compiled)
-            if result.path != compiled.path:
-                raise ExecutionError(
-                    "batch execution diverged from the compile-time path; "
-                    "the program's control flow is input-dependent"
-                )
         return result, compiled
 
     def device_stage(
@@ -413,7 +375,7 @@ class TraceCampaign:
         compiled: CompiledAcquisition,
         reused: bool,
         memoize: bool = True,
-    ) -> tuple[object, CompiledAcquisition, np.ndarray]:
+    ) -> tuple[TapeResult, CompiledAcquisition, np.ndarray]:
         """Replay the batch and evaluate its noise-free power.
 
         Returns ``(result, compiled, power)``.  This half of an
@@ -430,7 +392,7 @@ class TraceCampaign:
         shareable = memoize and self._schedule_input_independent()
         memo = active_device_memo() if shareable else None
         if memo is not None:
-            key = (digest_inputs(inputs), self.profile.identity(), dtype, self.use_tape)
+            key = (digest_inputs(inputs), self.profile.identity(), dtype)
             stored = memo.get(compiled, key)
             if stored is not None:
                 return stored
@@ -438,9 +400,7 @@ class TraceCampaign:
         power = checked.leakage.evaluate(result.table, self.profile, dtype=dtype)
         if memo is not None and checked is compiled:
             power.flags.writeable = False
-            matrix = getattr(result.table, "matrix", None)
-            if matrix is not None:
-                matrix.flags.writeable = False
+            result.table.matrix.flags.writeable = False
             memo.put(compiled, key, (result, checked, power))
         return result, checked, power
 
@@ -506,17 +466,18 @@ class TraceCampaign:
         inputs.validate()
         reused = (
             self._compiled is not None
-            and self._compiled_signature == inputs.signature()
+            and self._compiled_key == self._compile_key(inputs)
             and self._schedule_input_independent()
         )
         if reused:
             # Data-independent timing: the schedule depends only on the
-            # program and the input *shape*, so same-shape batches reuse
-            # the compiled schedule.  Programs with conditionally-executed
-            # non-branch instructions are excluded (a batch could
-            # uniformly take the *other* outcome, invisible to the path
-            # check); a cached *branch* path that no longer matches is
-            # caught below and recompiled against the batch at hand.
+            # program, the window and the input *shape*, so same-shape
+            # batches reuse the compiled schedule.  Programs with
+            # conditionally-executed non-branch instructions are excluded
+            # (a batch could uniformly take the *other* outcome, which
+            # the dynamic path does not show); a cached *branch* path
+            # that no longer matches is caught by the replay and
+            # recompiled against the batch at hand.
             assert self._compiled is not None
             compiled = self._compiled
         else:

@@ -130,12 +130,15 @@ class LeakageSchedule:
     ) -> np.ndarray:
         """Noise-free leakage power, ``dtype[n_traces, n_samples]``.
 
-        Packed tables (tape replays) take a compiled fast path: one
-        Hamming-weight pass over the packed matrix, one XOR+popcount
-        pass over the deduplicated HD pairs, and a single precomputed
-        sparse scatter into the sample axis.  Other value sources use
-        the per-component reference path; both agree within 1e-10
-        (floating-point summation order is the only difference).
+        Packed tables (tape replays, i.e. every acquisition) take a
+        compiled fast path: one Hamming-weight pass over the packed
+        matrix, one XOR+popcount pass over the deduplicated HD pairs,
+        and a single precomputed sparse scatter into the sample axis.
+        Any other value source -- in practice a :class:`ValueTable`
+        built from per-trace scalar runs -- takes the per-component
+        path, which is the test reference for the packed one; both
+        agree within 1e-10 (floating-point summation order is the only
+        difference).
 
         ``dtype=np.float32`` is the throughput mode of the float32
         capture chain: the packed scatter writes float32 directly

@@ -1,16 +1,19 @@
-"""Tape-compiled acquisition: packed path vs the dispatching reference.
+"""Tape-compiled acquisition: packed path vs the scalar reference.
 
-The campaign's fast path (op tape + packed evaluator) must agree with
-the instruction-dispatching vectorized executor and the per-component
-evaluator within 1e-10 on power, and the streamed engine must compile
-the tape exactly once and replay it for every chunk.
+The campaign's path (op tape + packed evaluator) must agree with one
+scalar ``Executor`` run per trace, gathered into a ``ValueTable`` and
+put through the per-component evaluator, within 1e-10 on power; and the
+streamed engine must compile the tape exactly once and replay it for
+every chunk.
 """
 
 import numpy as np
 
 from repro.campaigns.engine import StreamingCampaign, clear_schedule_cache
+from repro.isa.executor import Executor
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
+from repro.isa.values import ValueKind, ValueTable
 from repro.isa.vtrace import PackedValues
 from repro.power.acquisition import TraceCampaign, random_inputs
 from repro.power.scope import ScopeConfig
@@ -36,56 +39,79 @@ def make_inputs(n=48, seed=11):
     return inputs
 
 
-def make_campaign(use_tape=True, **kwargs):
+def make_campaign(**kwargs):
     return TraceCampaign(
-        assemble(SRC),
-        scope=ScopeConfig(noise_sigma=3.0),
-        seed=0xE1,
-        use_tape=use_tape,
-        **kwargs,
+        assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1, **kwargs
     )
+
+
+def scalar_table(program, inputs) -> ValueTable:
+    """The reference values: one scalar executor run per trace."""
+    per_trace = []
+    for index in range(inputs.n_traces):
+        executor = Executor(program)
+        state = executor.fresh_state()
+        mem, regs = inputs.row(index)
+        for reg, value in regs.items():
+            state.regs[reg] = value
+        for address, data in mem.items():
+            state.memory.write_bytes(address, data)
+        per_trace.append(executor.run(state=state).records)
+    return ValueTable.from_records(per_trace)
+
+
+def reference_power(campaign, trace_set):
+    """Per-component evaluation of the scalar table on the same schedule."""
+    reference = scalar_table(campaign.program, trace_set.inputs)
+    return trace_set.leakage.evaluate(reference, campaign.profile)
+
+
+def assert_table_matches(packed, reference, dyns):
+    """Every packed slot equals the reference; within ``dyns`` no nonzero
+    reference value is missing from the packed table."""
+    for (dyn, kind), row in packed.layout.slots.items():
+        np.testing.assert_array_equal(
+            packed.matrix[row], reference.values(dyn, kind), err_msg=f"{dyn} {kind}"
+        )
+    for dyn in dyns:
+        for kind in ValueKind:
+            if np.any(reference.values(dyn, kind)):
+                assert (dyn, kind) in packed.layout.slots, (dyn, kind)
 
 
 class TestPackedEquivalence:
     def test_tape_acquisition_matches_reference_power(self):
-        inputs = make_inputs()
-        fast = make_campaign(use_tape=True, keep_power=True).acquire(inputs)
-        reference = make_campaign(use_tape=False, keep_power=True).acquire(inputs)
+        campaign = make_campaign(keep_power=True)
+        fast = campaign.acquire(make_inputs())
         assert isinstance(fast.table, PackedValues)
-        assert not isinstance(reference.table, PackedValues)
-        assert fast.path == reference.path
-        np.testing.assert_allclose(fast.power, reference.power, atol=1e-10)
+        power = reference_power(campaign, fast)
+        np.testing.assert_allclose(fast.power, power, atol=1e-10)
         # The scope chain is bit-identical given equal power, so the
         # quantized traces agree to float32 resolution.
-        np.testing.assert_allclose(fast.traces, reference.traces, atol=1e-4)
+        traces, _power = make_campaign().capture_stage(power)
+        np.testing.assert_allclose(fast.traces, traces, atol=1e-4)
 
     def test_windowed_tape_matches_reference(self):
-        inputs = make_inputs()
-        fast = make_campaign(
-            use_tape=True, keep_power=True, window_cycles=(2, 8)
-        ).acquire(inputs)
-        reference = make_campaign(
-            use_tape=False, keep_power=True, window_cycles=(2, 8)
-        ).acquire(inputs)
-        np.testing.assert_allclose(fast.power, reference.power, atol=1e-10)
+        campaign = make_campaign(keep_power=True, window_cycles=(2, 8))
+        fast = campaign.acquire(make_inputs())
+        np.testing.assert_allclose(fast.power, reference_power(campaign, fast), atol=1e-10)
 
     def test_windowed_table_contract_matches_reference(self):
-        """Inside the retained window range both paths answer the same
-        (dyn, kind) queries — including kinds no leakage event references."""
-        from repro.isa.values import ValueKind
-
-        inputs = make_inputs()
-        fast = make_campaign(use_tape=True, window_cycles=(2, 8)).acquire(inputs)
-        reference = make_campaign(use_tape=False, window_cycles=(2, 8)).acquire(inputs)
-        for dyn in range(reference.table.n_dyn):
-            for kind in ValueKind:
-                ref = reference.table.values(dyn, kind)
-                packed = fast.table.values(dyn, kind)
-                if ref is None or not np.any(ref):
-                    assert packed is None or np.all(packed == 0), (dyn, kind)
-                else:
-                    assert packed is not None, (dyn, kind)
-                    np.testing.assert_array_equal(packed, ref, err_msg=f"{dyn} {kind}")
+        """Inside the retained window range the packed table answers every
+        (dyn, kind) query the scalar reference does — including kinds no
+        leakage event references."""
+        campaign = make_campaign(window_cycles=(2, 8))
+        fast = campaign.acquire(make_inputs())
+        reference = scalar_table(campaign.program, fast.inputs)
+        referenced = [
+            dyn
+            for compiled in fast.leakage.compiled.values()
+            for (dyn, _kind) in compiled.refs
+            if dyn >= 0
+        ]
+        window = range(min(referenced), max(referenced) + 1)
+        assert len(window) < reference.n_dyn  # the window really drops values
+        assert_table_matches(fast.table, reference, window)
 
     def test_packed_table_serves_schedule_refs(self):
         """Every (dyn, kind) a schedule event references is retrievable."""
@@ -100,24 +126,12 @@ class TestPackedEquivalence:
                 assert values is None or values.shape == (inputs.n_traces,)
 
     def test_windowless_table_keeps_full_contract(self):
-        """Without a window, the packed table answers every produced value,
-        exactly like the reference executor's table (None only when the
-        instruction never produced that kind)."""
-        from repro.isa.values import ValueKind
-
-        inputs = make_inputs()
-        fast = make_campaign(use_tape=True).acquire(inputs)
-        reference = make_campaign(use_tape=False).acquire(inputs)
-        n_dyn = reference.table.n_dyn
-        for dyn in range(n_dyn):
-            for kind in ValueKind:
-                ref = reference.table.values(dyn, kind)
-                packed = fast.table.values(dyn, kind)
-                if ref is None:
-                    assert packed is None or np.all(packed == 0), (dyn, kind)
-                else:
-                    assert packed is not None, (dyn, kind)
-                    np.testing.assert_array_equal(packed, ref, err_msg=f"{dyn} {kind}")
+        """Without a window, the packed table answers every value the
+        scalar reference produced (absent only where that is zero)."""
+        campaign = make_campaign()
+        fast = campaign.acquire(make_inputs())
+        reference = scalar_table(campaign.program, fast.inputs)
+        assert_table_matches(fast.table, reference, range(reference.n_dyn))
 
 
 class TestStreamedReplay:

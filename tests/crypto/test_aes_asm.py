@@ -13,7 +13,8 @@ from repro.crypto.aes_asm import (
     round1_only_program,
 )
 from repro.isa.executor import run_program
-from repro.isa.vexec import VectorExecutor
+from repro.isa.values import ValueKind
+from repro.isa.vtrace import compile_tape
 
 BLOCK = st.binary(min_size=16, max_size=16)
 
@@ -43,22 +44,32 @@ class TestFunctionalEquivalence:
         state = result.state.memory.read_bytes(LAYOUT.state, 16)
         assert state == round1_states(pt, key)["mc"]
 
-    def test_vectorized_batch_encrypts_correctly(self):
+    def test_tape_batch_encrypts_correctly(self):
+        """The tape replay's last store to each state byte is the ciphertext."""
         key = bytes(range(16))
         program = aes128_program(key)
         rng = np.random.default_rng(0)
         n = 4
         pts = rng.integers(0, 256, size=(n, 16), dtype=np.uint16).astype(np.uint8)
-        vexec = VectorExecutor(program, n)
-        state = vexec.fresh_state()
-        assert state.memory is not None
-        state.memory.load_per_trace(LAYOUT.state, pts)
-        state.pc = program.label_address("aes_main")
-        vexec.run(state=state)
+        records = run_program(
+            program, memory_init={LAYOUT.state: bytes(pts[0])}, entry="aes_main"
+        ).records
+        table = compile_tape(program, records).run(n, mem_bytes={LAYOUT.state: pts}).table
+        # (dyn, byte shift) of the last store covering each state byte;
+        # store addresses do not depend on the plaintext
+        last_store: dict[int, tuple[int, int]] = {}
+        for dyn, record in enumerate(records):
+            if not record.instr.is_store:
+                continue
+            for lane in range(record.instr.access_width):
+                offset = record.addr + lane - LAYOUT.state
+                if 0 <= offset < 16:
+                    last_store[offset] = (dyn, 8 * lane)
+        assert sorted(last_store) == list(range(16))
         for t in range(n):
             got = bytes(
-                int(state.memory.read_byte(np.full(n, LAYOUT.state + i, dtype=np.uint32))[t])
-                for i in range(16)
+                (int(table.values(dyn, ValueKind.STORE_DATA)[t]) >> shift) & 0xFF
+                for dyn, shift in (last_store[i] for i in range(16))
             )
             assert got == aes128_encrypt_block(bytes(pts[t]), key)
 

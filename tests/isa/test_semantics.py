@@ -186,6 +186,16 @@ class TestConditionalExecution:
         assert run_regs(src, r1=10).register(Reg.R0) == 1
         assert run_regs(src, r1=11).register(Reg.R0) == 2
 
+    def test_squashed_register_shift_still_reads_its_amount(self):
+        """A squashed instruction reads every operand register (the
+        pipeline drives them all onto the register-file read ports),
+        including a register shift amount; it never reaches the shifter."""
+        src = "mov r5, #0x103\n    cmp r1, r1\n    movne r0, r1, lsl r5\n    bx lr"
+        records = run_program(assemble(src), regs={Reg.R1: 0x55}).records
+        squashed = records[2]
+        assert not squashed.executed
+        assert (squashed.op2, squashed.op3, squashed.shifted) == (0x55, 0x03, 0)
+
 
 class TestMemoryAccess:
     def test_word_round_trip(self):

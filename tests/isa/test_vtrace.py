@@ -1,11 +1,12 @@
-"""Trace-compiled tape: equivalence with the scalar and vector executors.
+"""Trace-compiled tape: equivalence with the scalar reference executor.
 
 The tape is compiled from one reference execution and replayed for a
-batch; its packed value matrix must agree bit-for-bit with the
-vectorized executor's per-record arrays (which are themselves
-property-tested against the scalar reference) for every retained
-``(dyn_index, kind)`` — across every opcode class, shifts, sub-word
-memory, squashed conditionals and loops.
+batch; its packed value matrix must agree bit-for-bit with
+``ValueTable.from_records`` over one scalar run per trace, for every
+``(dyn_index, kind)`` slot of the tape's layout — across every opcode
+class, shifts, sub-word memory, table lookups, squashed conditionals,
+branches and loops — and every value the layout leaves out must be zero
+in the scalar records.
 """
 
 import numpy as np
@@ -14,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.executor import Executor
+from repro.isa.operands import ShiftKind
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
-from repro.isa.semantics import ExecutionError
-from repro.isa.values import ValueKind
-from repro.isa.vexec import VectorExecutor
-from repro.isa.vtrace import TapeDivergence, compile_tape
+from repro.isa.semantics import ExecutionError, barrel_shift
+from repro.isa.values import ValueKind, ValueTable
+from repro.isa.vtrace import (
+    TapeDivergence,
+    compile_tape,
+    iter_page_chunks,
+    vector_barrel_shift,
+)
 
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -48,6 +54,37 @@ CONDITIONAL_TEMPLATES = [
     "cmp r1, r1\n    beq skip\n    mov r0, #9\nskip:\n    mvn r6, r1",
 ]
 
+LOOP_SRC = """
+    mov r0, #0
+    mov r3, #4
+loop:
+    add r0, r0, r1
+    subs r3, r3, #1
+    bne loop
+    bx lr
+"""
+
+#: taken for every r1 != 100; a batch mixing r1 == 100 with others diverges
+BRANCH_SRC = """
+    cmp r1, #100
+    bne skip
+    mov r0, #1
+skip:
+    bx lr
+"""
+
+#: a per-trace index into a table the program image initializes
+TABLE_LOOKUP_SRC = """
+    movw r4, #0xA000
+    ldrb r0, [r4, r1]
+    ldr r2, [r4, r2]
+    bx lr
+    .org 0xA000
+table:
+    .byte 0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5
+    .byte 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76
+"""
+
 
 def scalar_reference(program, row):
     executor = Executor(program)
@@ -57,37 +94,44 @@ def scalar_reference(program, row):
     return executor.run(state=state)
 
 
-def vector_batch(program, rows):
-    vexec = VectorExecutor(program, len(rows))
-    state = vexec.fresh_state()
-    for reg in rows[0]:
-        state.write_reg(reg, np.array([row[reg] for row in rows], dtype=np.uint32))
-    return vexec.run(state=state)
+def reference_table(program, rows):
+    """``ValueTable`` and dynamic path of one scalar run per input row."""
+    runs = [scalar_reference(program, row) for row in rows]
+    return ValueTable.from_records([run.records for run in runs]), runs[0].path
+
+
+def batch_regs(rows):
+    return {
+        reg: np.array([row[reg] for row in rows], dtype=np.uint32) for reg in rows[0]
+    }
 
 
 def tape_batch(program, rows, keep=None):
     records = scalar_reference(program, rows[0]).records
     tape = compile_tape(program, records, keep=keep)
-    regs = {
-        reg: np.array([row[reg] for row in rows], dtype=np.uint32) for reg in rows[0]
-    }
-    return tape, tape.run(len(rows), regs=regs)
+    return tape, tape.run(len(rows), regs=batch_regs(rows))
+
+
+def assert_replay_matches(tape, result, program, rows):
+    """Every layout slot equals the scalar reference; the rest is zero there."""
+    reference, path = reference_table(program, rows)
+    assert result.path == path
+    assert tape.n_dyn == reference.n_dyn
+    for (dyn, kind), row in tape.layout.slots.items():
+        assert np.array_equal(result.table.matrix[row], reference.values(dyn, kind)), (
+            f"dyn {dyn} {kind}"
+        )
+    for dyn in range(tape.n_dyn):
+        for kind in ValueKind:
+            if (dyn, kind) not in tape.layout.slots:
+                assert not np.any(reference.values(dyn, kind)), (
+                    f"dyn {dyn} {kind}: scalar nonzero, tape absent"
+                )
 
 
 def assert_tables_match(program, rows):
-    vector_result = vector_batch(program, rows)
-    tape, tape_result = tape_batch(program, rows)
-    assert tape_result.path == vector_result.path
-    assert tape.n_dyn == len(vector_result.records)
-    for dyn in range(tape.n_dyn):
-        for kind in ValueKind:
-            vec = vector_result.table.values(dyn, kind)
-            packed = tape_result.table.values(dyn, kind)
-            if vec is None:
-                assert packed is None or np.all(packed == 0), (dyn, kind)
-            else:
-                assert packed is not None, f"dyn {dyn} {kind}: tape missing"
-                assert np.array_equal(vec, packed), f"dyn {dyn} {kind}"
+    tape, result = tape_batch(program, rows)
+    assert_replay_matches(tape, result, program, rows)
 
 
 @st.composite
@@ -117,7 +161,7 @@ def conditional_template_and_inputs(draw):
 class TestEquivalence:
     @given(template_and_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_packed_values_match_vector_executor(self, case):
+    def test_packed_values_match_scalar_reference(self, case):
         template, rows = case
         program = assemble(template + "\n    bx lr")
         assert_tables_match(program, rows)
@@ -130,23 +174,24 @@ class TestEquivalence:
         assert_tables_match(program, rows)
 
     def test_loop_replay_matches(self):
-        src = """
-        mov r0, #0
-        mov r3, #4
-    loop:
-        add r0, r0, r1
-        subs r3, r3, #1
-        bne loop
-        bx lr
-        """
-        program = assemble(src)
+        program = assemble(LOOP_SRC)
         rows = [{Reg.R1: v, Reg.R2: 0} for v in (1, 2, 3)]
         assert_tables_match(program, rows)
         _tape, result = tape_batch(program, rows)
-        # final accumulator visible through the last add's RESULT slot
-        adds = [d for d in range(result.table.n_dyn)
-                if result.table.values(d, ValueKind.RESULT) is not None]
-        assert adds  # sanity
+        # the last add's RESULT is the final accumulator, 4 * r1
+        adds = [d for d, index in enumerate(result.path) if index == 2]
+        final = result.table.values(adds[-1], ValueKind.RESULT)
+        assert [int(v) for v in final] == [4, 8, 12]
+
+    def test_uniform_branch_matches(self):
+        program = assemble(BRANCH_SRC)
+        assert_tables_match(program, [{Reg.R1: 5}, {Reg.R1: 6}])  # both taken
+        assert_tables_match(program, [{Reg.R1: 100}, {Reg.R1: 100}])  # neither
+
+    def test_table_lookup_matches(self):
+        program = assemble(TABLE_LOOKUP_SRC)
+        rows = [{Reg.R1: i, Reg.R2: 4 * (i % 4)} for i in range(16)]
+        assert_tables_match(program, rows)
 
     def test_final_registers_match_scalar(self):
         program = assemble(TEMPLATES[0] + "\n    bx lr")
@@ -219,23 +264,15 @@ class TestKeepLayout:
 
 
 class TestDivergence:
-    SRC = """
-        cmp r1, #100
-        bne skip
-        mov r0, #1
-    skip:
-        bx lr
-    """
-
     def test_other_uniform_direction_raises_tape_divergence(self):
-        program = assemble(self.SRC)
+        program = assemble(BRANCH_SRC)
         records = scalar_reference(program, {Reg.R1: 100}).records
         tape = compile_tape(program, records)
         with pytest.raises(TapeDivergence):
             tape.run(3, regs={Reg.R1: np.full(3, 5, dtype=np.uint32)})
 
     def test_cross_trace_divergence_raises_execution_error(self):
-        program = assemble(self.SRC)
+        program = assemble(BRANCH_SRC)
         records = scalar_reference(program, {Reg.R1: 100}).records
         tape = compile_tape(program, records)
         with pytest.raises(ExecutionError) as excinfo:
@@ -272,17 +309,36 @@ class TestReplayReuse:
         records = scalar_reference(program, rows[0]).records
         tape = compile_tape(program, records)
         for chunk in (rows[:4], rows[4:]):
-            regs = {
-                reg: np.array([row[reg] for row in chunk], dtype=np.uint32)
-                for reg in chunk[0]
-            }
-            result = tape.run(len(chunk), regs=regs)
-            reference = vector_batch(program, chunk)
-            for dyn in range(tape.n_dyn):
-                for kind in ValueKind:
-                    vec = reference.table.values(dyn, kind)
-                    packed = result.table.values(dyn, kind)
-                    if vec is None:
-                        assert packed is None or np.all(packed == 0)
-                    else:
-                        assert np.array_equal(vec, packed), (dyn, kind)
+            result = tape.run(len(chunk), regs=batch_regs(chunk))
+            assert_replay_matches(tape, result, program, chunk)
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("kind", list(ShiftKind))
+    def test_vector_barrel_shift_matches_scalar(self, kind):
+        """Run-time shifts agree with the scalar barrel shifter, carry too."""
+        rng = np.random.default_rng(7)
+        values = np.concatenate([
+            rng.integers(0, 1 << 32, size=64, dtype=np.uint64),
+            np.array([0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF], dtype=np.uint64),
+        ]).astype(np.uint32)
+        carry_in = rng.integers(0, 2, size=values.size).astype(bool)
+        amounts = [0] if kind is ShiftKind.RRX else [0, 1, 5, 31, 32, 33, 40, 255]
+        for amount in amounts:
+            result, carry = vector_barrel_shift(values, kind, amount, carry_in)
+            for i, value in enumerate(values):
+                want = barrel_shift(int(value), kind, amount, bool(carry_in[i]))
+                assert (int(result[i]), bool(carry[i])) == want, (kind, amount, hex(int(value)))
+
+    def test_iter_page_chunks_split_at_page_boundaries(self):
+        """Spans tile the range in order and never cross a 4 KiB page."""
+        for address, length in [(0x9000, 16), (0x9FF0, 0x20), (0x8FFF, 0x2002), (0x1234, 0)]:
+            spans = list(iter_page_chunks(address, length))
+            pos = 0
+            for page_no, offset, data_offset, chunk in spans:
+                assert data_offset == pos
+                assert (page_no << 12) + offset == address + pos
+                assert 0 < chunk and offset + chunk <= 4096
+                pos += chunk
+            assert pos == length
+            assert len(spans) == len({span[0] for span in spans})

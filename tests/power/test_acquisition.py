@@ -39,6 +39,13 @@ class TestBatchInputs:
         with pytest.raises(ValueError):
             BatchInputs(4, mem_bytes={0x100: np.zeros(4, dtype=np.uint8)}).validate()
 
+    def test_validation_rejects_non_uint8_memory(self):
+        """A wider dtype would give the compile pass (raw row bytes) and
+        the tape (one byte per column) different memory images."""
+        block = np.zeros((4, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"0x100.*int64"):
+            BatchInputs(4, mem_bytes={0x100: block}).validate()
+
     def test_row_view(self):
         inputs = BatchInputs(
             2,
@@ -219,6 +226,17 @@ class TestCampaign:
         assert derive_seed(42, 1) == derive_seed(42, 1)
         assert derive_seed(42, 1) != derive_seed(42, 2)
         assert derive_seed(43, 1) != derive_seed(42, 1)
+
+    def test_window_set_after_compile_takes_effect(self):
+        """acquire() must not reuse a compile made before the window was set."""
+        body = "\n".join(["    add r0, r1, r2"] * 30)
+        campaign = TraceCampaign(assemble(body + "\n    bx lr"), scope=quiet_scope())
+        inputs = random_inputs(4, reg_names=(Reg.R1, Reg.R2))
+        campaign.compile_with(inputs)
+        campaign.window_cycles = (10, 20)
+        windowed = campaign.acquire(inputs)
+        assert windowed.n_samples == 10 * windowed.leakage.samples_per_cycle
+        assert campaign.compile_count == 2
 
     def test_window_limits_samples_and_memory(self):
         body = "\n".join(["    add r0, r1, r2"] * 30)
