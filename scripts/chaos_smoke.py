@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="chaos_report.json")
     args = parser.parse_args(argv)
 
-    backend = "fork" if fork_available() else "spawn"
+    backend = "fork" if fork_available() else "pool"
     clean = summarize(stream_chunks(make_engine(), make_inputs(), backend="serial"))
     print(f"clean serial reference: {clean}")
 

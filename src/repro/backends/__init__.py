@@ -8,12 +8,13 @@ one with a *policy* — a backend instance, or one of the names in
 ======== ==============================================================
 policy   meaning
 ======== ==============================================================
-auto     fork where available, else spawn, else serial (with a
-         :class:`BackendDegradationWarning`); serial when ``jobs <= 1``
+auto     fork where available and not quarantined, else serial (with
+         a :class:`BackendDegradationWarning`); serial when
+         ``jobs <= 1``
 serial   the in-process reference
 fork     a fork pool per call (copy-on-write state sharing)
-spawn    a spawn pool per call (pickle-safe declarative tasks)
-pool     a persistent worker pool, reused until ``close()``
+pool     a persistent worker pool, reused until ``close()``; also the
+         parallel path where ``fork`` is unavailable
 ======== ==============================================================
 
 Every backend is byte-identical to serial for float32 campaigns; see
@@ -23,7 +24,7 @@ Every backend is byte-identical to serial for float32 campaigns; see
 (:func:`quarantine_backend` / :func:`is_quarantined`): a backend the
 resilience layer declared :class:`BackendBroken` is skipped by every
 later resolution, and streams fall down the
-``pool -> fork -> spawn -> serial`` degradation ladder instead of
+``pool -> fork -> serial`` degradation ladder instead of
 failing — loudly, via :class:`BackendDegradationWarning`.  See
 ``docs/resilience.md``.
 """
@@ -47,7 +48,6 @@ from repro.backends.base import (
 from repro.backends.pools import (
     ForkBackend,
     PoolBackend,
-    SpawnBackend,
     cpu_count,
     fork_available,
 )
@@ -67,11 +67,11 @@ from repro.backends.resilience import (
 )
 
 #: every name ``resolve_backend`` accepts
-BACKEND_POLICIES = ("auto", "serial", "fork", "spawn", "pool")
+BACKEND_POLICIES = ("auto", "serial", "fork", "pool")
 
 #: the subset a CLI user can ask for (pool is an API-level knob: it
 #: needs an owning scope)
-CLI_BACKEND_CHOICES = ("auto", "serial", "fork", "spawn")
+CLI_BACKEND_CHOICES = ("auto", "serial", "fork")
 
 
 def make_backend(policy: str, jobs: int = 1) -> ExecutionBackend:
@@ -80,8 +80,6 @@ def make_backend(policy: str, jobs: int = 1) -> ExecutionBackend:
         return SerialBackend()
     if policy == "fork":
         return ForkBackend(jobs)
-    if policy == "spawn":
-        return SpawnBackend(jobs)
     if policy == "pool":
         return PoolBackend(jobs)
     raise ValueError(f"unknown backend policy {policy!r}; expected one of {BACKEND_POLICIES}")
@@ -92,13 +90,12 @@ def resolve_backend(
     jobs: int = 1,
     *,
     n_tasks: int | None = None,
-    context: BackendContext | None = None,
 ) -> tuple[ExecutionBackend, bool]:
     """Resolve a policy to ``(backend, owned)``.
 
     ``owned`` tells the caller whether it created the backend (and must
     close it) or was handed a live instance to leave running.  Explicit
-    names are strict — asking for ``fork`` on a spawn-only platform
+    names are strict — asking for ``fork`` on a platform without it
     raises :class:`BackendUnavailable` — while ``auto`` (or ``None``)
     degrades with a :class:`BackendDegradationWarning` when ``jobs > 1``
     cannot actually be honored, instead of silently running serial.
@@ -137,20 +134,6 @@ def resolve_backend(
         reason = f"the 'fork' backend is quarantined ({quarantine_info().get('fork')})"
     else:
         reason = "the 'fork' start method is unavailable on this platform"
-    if is_quarantined("spawn"):
-        reason = (
-            f"{reason}, and the 'spawn' backend is quarantined "
-            f"({quarantine_info().get('spawn')})"
-        )
-    elif context is not None:
-        try:
-            context.assert_picklable("spawn")
-        except BackendUnavailable as error:
-            reason = f"{reason}, and the spawn fallback cannot run: {error}"
-        else:
-            return SpawnBackend(jobs), True
-    else:
-        return SpawnBackend(jobs), True
     warnings.warn(
         f"jobs={jobs} requested but no parallel backend is usable ({reason}); "
         "running serial",
@@ -179,7 +162,6 @@ __all__ = [
     "ResilienceContext",
     "RetryPolicy",
     "SerialBackend",
-    "SpawnBackend",
     "TransientChunkError",
     "WatchdogTimeout",
     "clear_quarantine",

@@ -16,7 +16,7 @@ for coarser fan-out units (the sweep engine parallelizes whole grid
 points through it).
 
 Lifecycle: ``start()`` acquires worker resources (a no-op for the
-per-call pool backends), ``close()`` releases them, and backends are
+per-call fork backend), ``close()`` releases them, and backends are
 context managers.  ``describe()`` reports provenance metadata — backend
 name, start method, worker count, host core count — so throughput
 numbers stay interpretable across machines.
@@ -62,8 +62,9 @@ class ChunkTask:
 
     Everything a worker needs that is *per-chunk* lives here; the
     campaign-wide state (program, configs, pinned full-scale) travels in
-    the :class:`BackendContext` (live objects for fork-style backends, a
-    pickle-safe :class:`CampaignSpec` for spawn-style ones).
+    the :class:`BackendContext` (live objects inherited by the fork
+    backend, a pickle-safe :class:`CampaignSpec` for the persistent
+    pool).
     ``trace_offset`` is the chunk's absolute counter range into the
     float32 chain's Philox noise tape — the field that makes any
     sharding byte-identical.
@@ -82,9 +83,9 @@ class CampaignSpec:
 
     The compiled schedule and the replay tape hold closures and cannot
     cross a pickle boundary, but everything they are compiled *from*
-    can.  Spawn-style workers rebuild the campaign from this spec and
-    compile once per process (the worker keeps an identity-keyed cache,
-    so a persistent pool re-seeds it a single time per campaign shape).
+    can.  Persistent-pool workers rebuild the campaign from this spec and
+    compile once per process (each worker keeps an identity-keyed cache,
+    so the pool re-seeds it a single time per campaign shape).
 
     ``pinned_full_scale`` carries the parent's resolved ADC full-scale
     so every worker quantizes against the same LSB the serial path uses.
@@ -166,8 +167,8 @@ class BackendContext:
     #: worker-side chunk codec — an object with
     #: ``encode(task, trace_set, parent_path) -> payload`` applied to
     #: every chunk result *before* it crosses the process boundary
-    #: (fold states for ``reduce="worker"``, shared-memory descriptors
-    #: for the shm transport); ``None`` keeps the historical payloads
+    #: (the fold state for ``reduce="worker"``); ``None`` ships the slim
+    #: ``(traces, table, power)`` payload
     codec: Any | None = None
     _spec: CampaignSpec | None = field(default=None, repr=False)
 
@@ -188,7 +189,7 @@ class BackendContext:
         return self.compiled.path if self.compiled is not None else None
 
     def assert_picklable(self, backend_name: str) -> None:
-        """Spawn-style backends need the declarative context to pickle.
+        """The persistent pool needs the declarative context to pickle.
 
         The campaign constituents always do; the power transforms are
         the caller's objects and often closures, so name the offender
@@ -214,7 +215,7 @@ class BackendContext:
 #: ``(index, lo, payload)`` where payload is a full :class:`TraceSet`,
 #: the slim ``(traces, table, power)`` triple to rewrap against the
 #: parent's compiled schedule, or whatever the context's ``codec``
-#: encoded (a fold state, a shared-memory descriptor).
+#: encoded (a fold state).
 ChunkResult = tuple[int, int, Any]
 
 
@@ -222,8 +223,9 @@ def slim_payload(trace_set: TraceSet, parent_path: list[int] | None):
     """Strip shared compiled objects when the worker's path matches.
 
     The parent holds the same compiled schedule (inherited at fork, or
-    structurally identical under spawn), so only the per-chunk arrays
-    need to cross the pipe; a recompiled divergent chunk ships whole.
+    rebuilt from the same spec in a pool worker), so only the per-chunk
+    arrays need to cross the pipe; a recompiled divergent chunk ships
+    whole.
     """
     if parent_path is not None and trace_set.path == parent_path:
         return trace_set.traces, trace_set.table, trace_set.power

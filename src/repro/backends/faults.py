@@ -4,7 +4,7 @@ Worker-failure isolation is part of the backend contract: a task that
 raises inside a worker must surface the *original* exception (with the
 remote traceback chained) from the mapping call, the campaign must fail
 cleanly, and the pool must not hang or leak.  Exercising that contract
-under the spawn and persistent-pool backends requires the failing
+under the persistent-pool backend requires the failing
 callable to cross a pickle boundary, so these injectors live in the
 package (module-level, state-only classes) rather than in the test
 suite.
@@ -85,9 +85,9 @@ class AttemptLedger:
     """Cross-process attempt counting by atomic exclusive file creation.
 
     ``claim(key)`` returns 1 on its first call for ``key`` *anywhere* —
-    parent, fork child, spawn child, a worker in a rebuilt pool — and
-    n on the n-th, because claiming attempt n means winning the
-    ``O_CREAT | O_EXCL`` race for ``<dir>/<key>.n``.  The injectors use
+    parent, fork child, persistent-pool worker, a worker in a rebuilt
+    pool — and n on the n-th, because claiming attempt n means winning
+    the ``O_CREAT | O_EXCL`` race for ``<dir>/<key>.n``.  The injectors use
     it to fail exactly their first N attempts and then clear.
     """
 

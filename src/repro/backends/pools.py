@@ -1,23 +1,19 @@
-"""Process-pool backends: fork, spawn, and a persistent worker pool.
+"""Process-pool backends: a fork pool per call and a persistent pool.
 
-Three ways to put more cores behind a campaign, all byte-identical to
+Two ways to put more cores behind a campaign, both byte-identical to
 :class:`~repro.backends.base.SerialBackend` by construction:
 
 * :class:`ForkBackend` — a pool forked per :meth:`map_chunks` call.  The
   live campaign (with its compiled schedule and replay tape) and the
   full input batch are inherited copy-on-write at fork time, so nothing
-  campaign-sized crosses a pipe.  The fastest option where ``fork``
-  exists; unavailable on spawn-only platforms.
-* :class:`SpawnBackend` — a pool spawned per call.  Workers receive a
-  declarative :class:`~repro.backends.base.CampaignSpec` (pickle-safe by
-  contract) and recompile the schedule once per worker; chunk tasks are
-  pure data.  Slower to start, but works everywhere — this is what
-  ``jobs > 1`` degrades to where fork is unavailable, instead of the
-  historical silent serial fallback.
-* :class:`PoolBackend` — a **persistent** pool (fork- or spawn-started)
-  that keeps workers alive across ``map_chunks``/``map_items`` calls.
-  Tasks are fully declarative (each carries its spec and input slice);
-  each worker keeps an identity-keyed campaign cache, so a sweep or a
+  campaign-sized crosses a pipe.  Unavailable where ``fork`` is missing.
+* :class:`PoolBackend` — a **persistent** pool that keeps workers alive
+  across ``map_chunks``/``map_items`` calls.  It starts with ``fork``
+  where available and with a fresh interpreter per worker elsewhere, so
+  it is also the parallel path of a platform without ``fork``.  Tasks
+  are fully declarative (each carries its pickle-safe
+  :class:`~repro.backends.base.CampaignSpec` and input slice); each
+  worker keeps an identity-keyed campaign cache, so a sweep or a
   ``Session.run_all`` re-seeds the compiled-schedule cache once per
   campaign shape and then pays zero pool-setup or recompile cost per
   point.  A worker that raises reports the failure (with the original
@@ -51,14 +47,13 @@ from repro.backends.base import (
     ExecutionBackend,
     encode_chunk,
     run_chunk_task,
-    slim_payload,
 )
 from repro.backends.resilience import (
     BackendBroken,
     ResilienceContext,
     WatchdogTimeout,
 )
-from repro.power.acquisition import TraceCampaign, TraceSet
+from repro.power.acquisition import TraceCampaign
 
 
 def fork_available() -> bool:
@@ -72,17 +67,12 @@ def _pool_size(jobs: int, n_tasks: int | None = None) -> int:
     return size
 
 
-#: Backwards-compatible alias: the slim-payload helper moved to base so
-#: the serial backend can share it with codec dispatch.
-_slim_payload = slim_payload
-
-
 # -- fork workers (state inherited copy-on-write at fork) ---------------
 
 _FORK_STATE: dict = {}
 
 
-def _fork_init(campaign, inputs, transform, factory, parent_path, codec=None) -> None:  # pragma: no cover
+def _fork_init(campaign, inputs, transform, factory, parent_path, codec) -> None:  # pragma: no cover
     _FORK_STATE["campaign"] = campaign
     _FORK_STATE["inputs"] = inputs
     _FORK_STATE["transform"] = transform
@@ -96,34 +86,7 @@ def _fork_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
     factory = _FORK_STATE["factory"]
     transform = factory(task.index) if factory is not None else _FORK_STATE["transform"]
     trace_set = run_chunk_task(campaign, _FORK_STATE["inputs"], task, transform)
-    payload = encode_chunk(
-        _FORK_STATE.get("codec"), task, trace_set, _FORK_STATE["parent_path"]
-    )
-    return task.index, task.lo, payload
-
-
-# -- spawn workers (state rebuilt from the pickled spec) ----------------
-
-_SPAWN_STATE: dict = {}
-
-
-def _spawn_init(spec, inputs, transform, factory, parent_path, codec=None) -> None:  # pragma: no cover
-    _SPAWN_STATE["campaign"] = spec.build()
-    _SPAWN_STATE["inputs"] = inputs
-    _SPAWN_STATE["transform"] = transform
-    _SPAWN_STATE["factory"] = factory
-    _SPAWN_STATE["parent_path"] = parent_path
-    _SPAWN_STATE["codec"] = codec
-
-
-def _spawn_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
-    campaign: TraceCampaign = _SPAWN_STATE["campaign"]
-    factory = _SPAWN_STATE["factory"]
-    transform = factory(task.index) if factory is not None else _SPAWN_STATE["transform"]
-    trace_set = run_chunk_task(campaign, _SPAWN_STATE["inputs"], task, transform)
-    payload = encode_chunk(
-        _SPAWN_STATE.get("codec"), task, trace_set, _SPAWN_STATE["parent_path"]
-    )
+    payload = encode_chunk(_FORK_STATE["codec"], task, trace_set, _FORK_STATE["parent_path"])
     return task.index, task.lo, payload
 
 
@@ -273,8 +236,11 @@ def _resilient_dispatch(
         release(pool)
 
 
-class _PoolBackendBase(ExecutionBackend):
-    """Shared per-call pool plumbing for the fork and spawn backends."""
+class ForkBackend(ExecutionBackend):
+    """A fork pool per call; campaign state inherited copy-on-write."""
+
+    name = "fork"
+    start_method = "fork"
 
     def __init__(self, jobs: int = 2):
         self.jobs = max(1, int(jobs))
@@ -283,53 +249,54 @@ class _PoolBackendBase(ExecutionBackend):
     def workers(self) -> int:
         return self.jobs
 
-    def _context(self):
-        return multiprocessing.get_context(self.start_method)
-
     def _check_available(self) -> None:
-        if self.start_method not in multiprocessing.get_all_start_methods():
+        if not fork_available():
             raise BackendUnavailable(
-                f"start method '{self.start_method}' is unavailable on this "
-                f"platform (has: {multiprocessing.get_all_start_methods()})"
+                f"start method 'fork' is unavailable on this platform "
+                f"(has: {multiprocessing.get_all_start_methods()})"
             )
+
+    def _pool(self, n_tasks: int, **kwargs):
+        return multiprocessing.get_context("fork").Pool(
+            processes=_pool_size(self.jobs, n_tasks), **kwargs
+        )
 
     def map_items(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         self._check_available()
         payloads = [(fn, item) for item in items]
         if len(payloads) <= 1:
             return [fn(item) for _fn, item in payloads]
-        pool = self._context().Pool(processes=_pool_size(self.jobs, len(payloads)))
+        pool = self._pool(len(payloads))
         try:
             return list(pool.imap(_apply, payloads))
         finally:
             _shutdown(pool)
 
-    def _initargs(self, context: BackendContext) -> tuple:
-        raise NotImplementedError
-
-    def _chunk_fn(self):
-        raise NotImplementedError
-
     def _make_pool(self, context: BackendContext, n_tasks: int):
-        return self._context().Pool(
-            processes=_pool_size(self.jobs, n_tasks),
-            initializer=self._initializer,
-            initargs=self._initargs(context),
+        return self._pool(
+            n_tasks,
+            initializer=_fork_init,
+            initargs=(
+                context.campaign,
+                context.inputs,
+                context.power_transform,
+                context.power_transform_factory,
+                context.compiled_path(),
+                context.codec,
+            ),
         )
 
     def map_chunks(
         self, context: BackendContext, tasks: Sequence[ChunkTask]
     ) -> Iterator[ChunkResult]:
         self._check_available()
-        self._check_context(context)
-        chunk_fn = self._chunk_fn()
         resilience = context.resilience
         if resilience is None:
             # Historical path: one pool, ordered imap.  terminate+join in
             # all cases (Ctrl-C included) so no child outlives the call.
             pool = self._make_pool(context, len(tasks))
             try:
-                yield from pool.imap(chunk_fn, tasks)
+                yield from pool.imap(_fork_chunk, tasks)
             finally:
                 _shutdown(pool)
             return
@@ -340,62 +307,14 @@ class _PoolBackendBase(ExecutionBackend):
             acquire=lambda: self._make_pool(context, len(tasks)),
             replace=lambda old: (_shutdown(old), self._make_pool(context, len(tasks)))[1],
             release=_shutdown,
-            submit=lambda pool, task: pool.apply_async(chunk_fn, (task,)),
+            submit=lambda pool, task: pool.apply_async(_fork_chunk, (task,)),
         )
-
-    def _check_context(self, context: BackendContext) -> None:
-        """Hook for pickle-safety checks; the fork backend needs none."""
-
-
-class ForkBackend(_PoolBackendBase):
-    """A fork pool per call; campaign state inherited copy-on-write."""
-
-    name = "fork"
-    start_method = "fork"
-    _initializer = staticmethod(_fork_init)
-
-    def _initargs(self, context: BackendContext) -> tuple:
-        return (
-            context.campaign,
-            context.inputs,
-            context.power_transform,
-            context.power_transform_factory,
-            context.compiled_path(),
-            context.codec,
-        )
-
-    def _chunk_fn(self):
-        return _fork_chunk
-
-
-class SpawnBackend(_PoolBackendBase):
-    """A spawn pool per call; campaign state rebuilt from a pickled spec."""
-
-    name = "spawn"
-    start_method = "spawn"
-    _initializer = staticmethod(_spawn_init)
-
-    def _check_context(self, context: BackendContext) -> None:
-        context.assert_picklable(self.name)
-
-    def _initargs(self, context: BackendContext) -> tuple:
-        return (
-            context.spec(),
-            context.inputs,
-            context.power_transform,
-            context.power_transform_factory,
-            context.compiled_path(),
-            context.codec,
-        )
-
-    def _chunk_fn(self):
-        return _spawn_chunk
 
 
 class PoolBackend(ExecutionBackend):
     """A persistent worker pool reused across campaigns and sweeps.
 
-    Unlike the per-call backends, ``start()`` builds the pool once and
+    Unlike the per-call fork backend, ``start()`` builds the pool once and
     every subsequent :meth:`map_chunks`/:meth:`map_items` call reuses
     the warm workers: each worker keeps the campaigns it has rebuilt
     (and their compiled schedules) in a cache keyed by the spec's

@@ -24,7 +24,7 @@ backends and the streaming engine use to recover instead:
 * :class:`BackendBroken` — a backend that exhausted its watchdog
   retries.  Under the ``auto`` policy the engine *quarantines* it
   (process-wide, see :func:`quarantine_backend`) and falls down the
-  degradation ladder ``pool -> fork -> spawn -> serial``, loudly via
+  degradation ladder ``pool -> fork -> serial``, loudly via
   :class:`~repro.backends.base.BackendDegradationWarning`.
 * :class:`FaultReport` — the structured record of everything the
   resilience layer did (attempts, retries, timeouts, degradations,
@@ -334,7 +334,7 @@ def run_attempts(
 # -- backend quarantine + degradation ladder ----------------------------
 
 #: The fall-down order under ``auto`` when a backend is quarantined.
-DEGRADATION_LADDER = ("pool", "fork", "spawn", "serial")
+DEGRADATION_LADDER = ("pool", "fork", "serial")
 
 #: Process-wide quarantine registry: backend name -> reason.  A backend
 #: that exhausted its watchdog retries lands here and ``auto``

@@ -55,7 +55,7 @@ to the serial fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -837,13 +837,3 @@ class CpaBudgetSnapshots:
         if self._defer:
             raise ValueError("deferred snapshot parts have no finished result")
         return self._accumulator.result()
-
-
-def fold_correlation(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Convenience: stream ``(models, traces)`` chunks to correlations."""
-    accumulator = OnlineCorrAccumulator()
-    for models, traces in chunks:
-        accumulator.update(models, traces)
-    return accumulator.correlations()

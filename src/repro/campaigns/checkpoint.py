@@ -10,8 +10,8 @@ byte-identical to an uninterrupted run.
 Two layers:
 
 * :class:`CheckpointStore` — one versioned record in one directory,
-  written atomically (temp file + ``os.replace``) so a kill mid-write
-  leaves the previous checkpoint intact, never a torn one.
+  written atomically (:func:`repro.atomicfile.atomic_write`) so a kill
+  mid-write leaves the previous checkpoint intact, never a torn one.
 * :class:`Checkpointer` — the driver-facing protocol the engine calls:
   ``begin()`` loads-or-initializes (validating the campaign fingerprint
   so a checkpoint is never resumed against different work),
@@ -33,9 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Callable
 
+from repro.atomicfile import atomic_write
 from repro.backends.resilience import active_report
 from repro.campaigns.accumulators import StatisticKindMismatch
 # Re-exported: checkpoint fingerprints and the device memo share one digest.
@@ -96,21 +96,7 @@ class CheckpointStore:
     def save(self, record: dict) -> None:
         """Atomic write-rename: a kill mid-save never tears the record."""
         os.makedirs(self.directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=CHECKPOINT_FILENAME, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(record, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, pickle.dumps(record), prefix=CHECKPOINT_FILENAME)
 
     def clear(self) -> None:
         try:

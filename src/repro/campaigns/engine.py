@@ -165,7 +165,7 @@ class StreamingCampaign:
         self.seed = seed
         self.chunk_size = chunk_size
         self.jobs = max(1, jobs)
-        #: backend policy ("auto"/"serial"/"fork"/"spawn"/... or a live
+        #: backend policy ("auto"/"serial"/"fork"/"pool" or a live
         #: :class:`ExecutionBackend`); ``None`` means "auto"
         self.backend = backend
         self._campaign = TraceCampaign(
@@ -268,20 +268,12 @@ class StreamingCampaign:
         backend: str | ExecutionBackend | None = None,
         retry: RetryPolicy | int | None = None,
         chunk_timeout: float | None = None,
-        transport: str | None = None,
     ) -> Iterator[TraceChunk]:
         """Yield the campaign as ordered, seed-stable trace chunks.
 
-        ``transport`` picks how chunk results cross the process
-        boundary: ``"pickle"`` (the default) serializes the slim
-        ``(traces, table, power)`` payload through the pool pipe, while
-        ``"shm"`` has workers write trace blocks into named
-        ``multiprocessing.shared_memory`` segments and ship only a tiny
-        descriptor — the parent maps each segment zero-copy (see
-        ``repro.backends.shm``).  The bytes are identical either way;
-        ``"shm"`` falls back to pickle, with a
-        :class:`~repro.backends.BackendDegradationWarning`, on platforms
-        without POSIX shared memory.
+        On a process backend each chunk crosses the process boundary as
+        the slim ``(traces, table, power)`` payload and is rewrapped
+        here against the parent's compiled schedule.
 
         ``power_transform`` applies one callable to every chunk's power
         matrix; ``power_transform_factory`` instead receives the chunk
@@ -309,7 +301,7 @@ class StreamingCampaign:
           :class:`~repro.backends.WatchdogTimeout`, the pool is rebuilt
           and the chunk re-dispatched.  A backend that exhausts its
           budget on timeouts is quarantined; under ``auto`` the stream
-          then falls down the ``pool -> fork -> spawn -> serial``
+          then falls down the ``pool -> fork -> serial``
           degradation ladder instead of failing.
 
         Either also enables per-chunk result validation
@@ -318,11 +310,7 @@ class StreamingCampaign:
         failures).  Checkpoint/resume is a property of a fold, not of a
         raw stream: see :meth:`reduce`.
         """
-        if transport not in (None, "pickle", "shm"):
-            raise ValueError(
-                f"unknown transport {transport!r}; expected 'pickle' or 'shm'"
-            )
-        bounds, jobs, compiled, tasks, context = self._prepare(
+        _bounds, jobs, compiled, tasks, context = self._prepare(
             inputs,
             chunk_size,
             jobs,
@@ -331,40 +319,13 @@ class StreamingCampaign:
             retry,
             chunk_timeout,
         )
-        codec = None
-        if transport == "shm" and jobs > 1 and len(tasks) > 1:
-            from repro.backends.shm import ShmCodec, shm_available
-
-            if shm_available():
-                # A fingerprint-derived token keeps segment names
-                # deterministic across a kill/resume of the same run,
-                # so recovery can always clean its predecessor up.
-                token = self._stream_fingerprint(inputs, bounds)[:12]
-                codec = ShmCodec(token=token)
-                context.codec = codec
-            else:
-                warnings.warn(
-                    "shared-memory transport requested but POSIX shared "
-                    "memory is unavailable; falling back to pickle",
-                    BackendDegradationWarning,
-                    stacklevel=2,
-                )
         policy = backend if backend is not None else self.backend
-        try:
-            for index, lo, payload in self._dispatch(
-                context, tasks, policy=policy, jobs=jobs
-            ):
-                yield TraceChunk(
-                    start=lo,
-                    index=index,
-                    trace_set=self._rewrap(payload, inputs, lo, compiled),
-                )
-        finally:
-            if codec is not None:
-                # Unlink anything encoded but never consumed (a fault
-                # aborting the stream, an abandoned generator, leftovers
-                # of a killed previous run under this fingerprint).
-                codec.cleanup(len(tasks))
+        for index, lo, payload in self._dispatch(context, tasks, policy=policy, jobs=jobs):
+            yield TraceChunk(
+                start=lo,
+                index=index,
+                trace_set=self._rewrap(payload, inputs, lo, compiled),
+            )
 
     def reduce(
         self,
@@ -485,10 +446,6 @@ class StreamingCampaign:
         payload, inputs: BatchInputs, lo: int, compiled: CompiledAcquisition
     ) -> TraceSet:
         """One dispatched raw chunk payload as a full :class:`TraceSet`."""
-        if hasattr(payload, "materialize"):
-            # shm descriptor: attach, unlink, wrap zero-copy (cached —
-            # validation may have attached already).
-            payload = payload.materialize()
         if isinstance(payload, TraceSet):
             # The serial backend, or a chunk that recompiled against a
             # different path (data-dependent branch direction): as-is.
@@ -589,9 +546,7 @@ class StreamingCampaign:
         """
         resilience = context.resilience
         ladder_eligible = policy is None or policy == "auto"
-        resolved, owned = resolve_backend(
-            policy, jobs=jobs, n_tasks=len(run_tasks), context=context
-        )
+        resolved, owned = resolve_backend(policy, jobs=jobs, n_tasks=len(run_tasks))
         try:
             resolved.start()
             pending = list(run_tasks)
@@ -705,11 +660,6 @@ class StreamingCampaign:
         expected_dtype = np.dtype(np.float32)
 
         def validate(task: ChunkTask, payload) -> None:
-            if hasattr(payload, "materialize"):
-                # shm descriptor: attach once here; the rewrap reuses
-                # the cached mapping.  A vanished segment raises
-                # ChunkCorruption itself (retryable).
-                payload = payload.materialize()
             slim = not isinstance(payload, TraceSet)
             traces = payload[0] if slim else payload.traces
             rows = task.hi - task.lo

@@ -41,14 +41,8 @@ from repro.campaigns.accumulators import (
     CpaAccumulator,
     CpaBudgetSnapshots,
     OnlineMeanVar,
-    OnlineTTestAccumulator,
 )
 from repro.power.acquisition import TraceSet
-from repro.sca.ttest import TVLA_THRESHOLD
-
-#: low/high Hamming-weight tails of an 8-bit intermediate (HW == 4 is
-#: dropped), matching :data:`repro.sweeps.metrics.T_SPLIT`.
-HW_T_SPLIT = (3, 5)
 
 
 def check_reduce_mode(reduce: str | None) -> str:
@@ -218,56 +212,6 @@ class SboxCpaBudgetFold(ChunkFold):
 
     def thaw(self, frozen):
         return CpaBudgetSnapshots.from_state(frozen).require_kind(PARTITION)
-
-
-@dataclass(frozen=True)
-class SboxTTestFold(ChunkFold):
-    """TVLA-style Welch t-test between HW(SubBytes out) tails.
-
-    The model-light leakage detector over the figure3 campaign: traces
-    whose true-key S-box output has ``HW <= t_low`` form group A,
-    ``HW >= t_high`` group B (the balanced binomial tails).  Its
-    sufficient statistics are four ``n_samples`` vectors — the extreme
-    comms-avoiding case, shrinking chunk transport by orders of
-    magnitude regardless of chunk size.
-    """
-
-    byte_index: int
-    key_byte: int
-    t_split: tuple[int, int] = HW_T_SPLIT
-    threshold: float = TVLA_THRESHOLD
-    state_block: int | None = None
-
-    def create(self) -> OnlineTTestAccumulator:
-        return OnlineTTestAccumulator(threshold=self.threshold)
-
-    def _update(self, accumulator: OnlineTTestAccumulator, trace_set: TraceSet) -> None:
-        from repro.sca.models import hw_sbox_model
-
-        plaintexts = _chunk_plaintexts(trace_set, self.state_block)
-        weights = hw_sbox_model(plaintexts, self.byte_index, self.key_byte)
-        t_low, t_high = self.t_split
-        mask_low = weights <= t_low
-        mask_high = weights >= t_high
-        if np.any(mask_low):
-            accumulator.update_a(trace_set.traces[mask_low])
-        if np.any(mask_high):
-            accumulator.update_b(trace_set.traces[mask_high])
-
-    def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
-        part = OnlineTTestAccumulator(threshold=self.threshold)
-        self._update(part, trace_set)
-        return part.state()
-
-    def merge_state(self, accumulator, task, state):
-        accumulator.merge(OnlineTTestAccumulator.from_state(state))
-        return accumulator
-
-    def freeze(self, accumulator):
-        return accumulator.state()
-
-    def thaw(self, frozen):
-        return OnlineTTestAccumulator.from_state(frozen)
 
 
 @dataclass

@@ -34,11 +34,11 @@ Flags:
     (constant memory).  Default: one monolithic chunk.
 ``--jobs N``
     Fan chunks out over ``N`` worker processes.
-``--backend serial|fork|spawn|auto``
+``--backend serial|fork|auto``
     Execution backend for the fan-out (see ``docs/backends.md``).  The
-    default ``auto`` forks where available and falls back to spawn;
-    every backend is byte-identical to ``serial`` for float32
-    campaigns.
+    default ``auto`` forks where available and otherwise runs serial
+    with a warning; every backend is byte-identical to ``serial`` for
+    float32 campaigns.
 ``--seed N``
     Campaign seed override, for independent re-runs of a scenario.
 ``--precision float64-exact|float32``
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "fork", "spawn"),
+        choices=("auto", "serial", "fork"),
         default=None,
         help="execution backend for the worker fan-out (default: auto)",
     )

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument(
         "--backend",
-        choices=("auto", "serial", "fork", "spawn"),
+        choices=("auto", "serial", "fork"),
         default=None,
         help="execution backend for the fan-out (default: auto)",
     )

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any
 
 from repro.api.capabilities import Capability
 from repro.backends import ExecutionBackend, resolve_backend
@@ -327,12 +326,3 @@ class CorpusCampaign:
                 self.precision,
             )
         )
-
-
-def run_manifest(
-    manifest: Manifest, **knobs: Any
-) -> CorpusResult:
-    """Convenience one-shot: ``CorpusCampaign(manifest, **knobs).run()``."""
-    checkpoint = knobs.pop("checkpoint", None)
-    resume = bool(knobs.pop("resume", False))
-    return CorpusCampaign(manifest, **knobs).run(checkpoint=checkpoint, resume=resume)

@@ -6,8 +6,8 @@ generator, a CPA model matrix, the key-recovery metadata the metrics
 fold needs (guess space, Welch-t partition split, expected rank), and
 the engine capabilities its cells honor.  Everything is built from
 module-level callables via :func:`functools.partial`, so workloads are
-picklable by construction — a requirement of the spawn-style backends
-and of worker-side reduction.
+picklable by construction — a requirement of the persistent pool
+backend and of worker-side reduction.
 
 The registry seeds six targets spanning the evaluation space:
 

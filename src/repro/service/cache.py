@@ -34,7 +34,7 @@ import json
 import os
 from typing import Any
 
-from repro.service.queue import atomic_write_text
+from repro.atomicfile import atomic_write
 
 #: Versioned key-material schema: bump to invalidate every cached entry.
 KEY_SCHEMA = "repro.jobkey/2"
@@ -107,7 +107,7 @@ class ResultCache:
             return None  # torn by an interrupted legacy writer; treat as miss
 
     def put(self, key: str, envelope_record: dict) -> None:
-        atomic_write_text(self.directory, self._path(key), json.dumps(envelope_record))
+        atomic_write(self._path(key), json.dumps(envelope_record))
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

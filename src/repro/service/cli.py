@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend", choices=("auto", "serial", "fork", "spawn", "pool"), default=None,
+        "--backend", choices=("auto", "serial", "fork", "pool"), default=None,
         help="execution-backend default for worker sessions",
     )
     parser.add_argument(

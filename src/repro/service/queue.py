@@ -4,9 +4,9 @@ One spool directory holds the whole service state, so a restart (or a
 ``kill -9``) recovers everything from disk:
 
 * ``jobs/<id>.json`` — the versioned ``repro.job/1`` record of every
-  job ever submitted, written atomically (mkstemp + ``os.replace``, the
-  :class:`~repro.campaigns.checkpoint.CheckpointStore` discipline) so a
-  kill mid-write never tears a record.
+  job ever submitted, written atomically
+  (:func:`repro.atomicfile.atomic_write`) so a kill mid-write never
+  tears a record.
 * ``queued/<id>`` / ``running/<id>`` — claim markers.  A marker file's
   *location* is the queue state; a worker claims a job by atomically
   renaming its marker from ``queued/`` to ``running/`` — exactly one
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
+
+from repro.atomicfile import atomic_write
 
 #: Bump on any incompatible job-record change; readers reject other
 #: versions loudly instead of misreading them.
@@ -49,23 +50,6 @@ _DIRS = ("jobs", "queued", "running", "results", "cache", "keys")
 
 class JobError(RuntimeError):
     """A job record could not be loaded, validated, or transitioned."""
-
-
-def atomic_write_text(directory: str, path: str, payload: str) -> None:
-    """CheckpointStore-style mkstemp + rename: never a torn file."""
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def new_job_id() -> str:
@@ -97,8 +81,7 @@ class JobQueue:
     def save_job(self, record: dict) -> None:
         if record.get("schema") != JOB_SCHEMA:
             raise JobError(f"job record must carry schema {JOB_SCHEMA!r}")
-        directory = os.path.join(self.root, "jobs")
-        atomic_write_text(directory, self._job_path(record["id"]), json.dumps(record))
+        atomic_write(self._job_path(record["id"]), json.dumps(record))
 
     def load_job(self, job_id: str) -> dict | None:
         try:
@@ -148,7 +131,7 @@ class JobQueue:
         record["state"] = "queued"
         self.save_job(record)
         marker = self._marker("queued", record["id"])
-        atomic_write_text(os.path.join(self.root, "queued"), marker, record["tenant"])
+        atomic_write(marker, record["tenant"])
         return record
 
     # -- claim / complete ------------------------------------------------
@@ -187,11 +170,7 @@ class JobQueue:
 
     def finish(self, record: dict, envelope_record: dict) -> dict:
         """Commit a completed job: result first, marker removal last."""
-        atomic_write_text(
-            os.path.join(self.root, "results"),
-            self.result_path(record["id"]),
-            json.dumps(envelope_record),
-        )
+        atomic_write(self.result_path(record["id"]), json.dumps(envelope_record))
         record["state"] = "done"
         record["finished"] = time.time()
         self.save_job(record)
@@ -200,11 +179,7 @@ class JobQueue:
 
     def fail(self, record: dict, error: str, envelope_record: dict | None = None) -> dict:
         if envelope_record is not None:
-            atomic_write_text(
-                os.path.join(self.root, "results"),
-                self.result_path(record["id"]),
-                json.dumps(envelope_record),
-            )
+            atomic_write(self.result_path(record["id"]), json.dumps(envelope_record))
         record["state"] = "failed"
         record["finished"] = time.time()
         record["error"] = str(error)

@@ -28,8 +28,9 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
+from repro.atomicfile import atomic_write
 from repro.service.cache import ResultCache, job_key
-from repro.service.queue import JobQueue, atomic_write_text
+from repro.service.queue import JobQueue
 
 #: Wire knobs the service refuses regardless of scenario capabilities:
 #: they name server-side filesystem state a tenant has no business in.
@@ -177,7 +178,7 @@ class ServiceRuntime:
 
     def stop(self, timeout: float = 5.0) -> None:
         """Flag workers down, join them, and terminate stragglers."""
-        atomic_write_text(self.spool, os.path.join(self.spool, "stop"), "stop")
+        atomic_write(os.path.join(self.spool, "stop"), "stop")
         for process in self._workers:
             process.join(timeout=timeout)
         for process in self._workers:
@@ -292,9 +293,7 @@ class ServiceRuntime:
             return None
 
     def _claim_key(self, key: str, job_id: str) -> None:
-        atomic_write_text(
-            os.path.join(self.spool, "keys"), self._key_path(key), job_id
-        )
+        atomic_write(self._key_path(key), job_id)
 
     # -- reads -----------------------------------------------------------
 

@@ -46,7 +46,7 @@ import json
 import os
 from typing import Any
 
-from repro.service.queue import atomic_write_text
+from repro.atomicfile import atomic_write
 from repro.service.runtime import Busy, ServiceRejection, ServiceRuntime
 
 #: Largest accepted request body; leakage requests are a few KiB.
@@ -112,11 +112,7 @@ class ServiceServer:
             self._handle_connection, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        atomic_write_text(
-            self.runtime.spool,
-            os.path.join(self.runtime.spool, "port"),
-            str(self.port),
-        )
+        atomic_write(os.path.join(self.runtime.spool, "port"), str(self.port))
         return self.port
 
     async def serve_forever(self) -> None:

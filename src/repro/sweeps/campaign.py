@@ -26,7 +26,7 @@ single-process); point results are independent of the worker layout, so
 any ``jobs`` value — and any backend, including a persistent
 :class:`~repro.backends.PoolBackend` kept warm across sweeps —
 reproduces the serial metrics bit for bit.  Workloads are built from
-module-level callables, so every payload a spawn-style backend ships is
+module-level callables, so every payload the persistent pool ships is
 picklable by construction.
 """
 
@@ -95,7 +95,7 @@ def aes_round1_workload(
     model column (the Hamming weight of the attacked S-box output), so
     all three metrics score the same intermediate.  Built from
     module-level callables (via :func:`functools.partial`), the workload
-    is picklable — a requirement of the spawn-style backends.
+    is picklable — a requirement of the persistent pool backend.
     """
     return SweepWorkload(
         name=f"aes-round1/hw-sbox[{byte_index}]",

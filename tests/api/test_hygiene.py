@@ -38,7 +38,9 @@ def test_no_service_spool_state_is_committed():
     assert offenders == [], f"service spool state committed to git: {offenders}"
 
 
-@pytest.mark.parametrize("module", ("repro.service.loadgen", "repro.backends.numba_tape"))
+@pytest.mark.parametrize(
+    "module", ("repro.service.loadgen", "repro.backends.numba_tape", "repro.backends.shm")
+)
 def test_retired_modules_stay_deleted(module):
     import importlib.util
 

@@ -56,6 +56,7 @@ class TestValidation:
             {"backend": "threads"},
             {"backend": "numba"},
             {"backend": object()},
+            {"backend": "spawn"},
         ),
     )
     def test_malformed_values_rejected_at_construction(self, knobs):

@@ -169,6 +169,10 @@ class TestStrictParse:
         with pytest.raises(RequestSchemaError, match="backend"):
             RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": "numba"})
 
+    def test_rejects_retired_spawn_policy(self):
+        with pytest.raises(RequestSchemaError, match="backend"):
+            RunRequest.from_json({"schema": REQUEST_SCHEMA, "backend": "spawn"})
+
     def test_collects_every_problem(self):
         with pytest.raises(RequestSchemaError) as excinfo:
             RunRequest.from_json(
@@ -227,7 +231,7 @@ def knob_strategies():
             "jobs": st.integers(min_value=1, max_value=8),
             "seed": st.integers(min_value=0, max_value=2**32 - 1),
             "precision": st.sampled_from(["float32", "float64-exact"]),
-            "backend": st.sampled_from(["auto", "serial", "fork", "spawn"]),
+            "backend": st.sampled_from(["auto", "serial", "fork", "pool"]),
             "retries": st.integers(min_value=0, max_value=5),
             "chunk_timeout": st.floats(
                 min_value=0.001, max_value=600, allow_nan=False, allow_infinity=False

@@ -85,14 +85,14 @@ class TestBackendContext:
             campaign=None, inputs=None, power_transform=lambda power: power
         )
         with pytest.raises(BackendUnavailable, match="power_transform"):
-            context.assert_picklable("spawn")
+            context.assert_picklable("pool")
 
     def test_assert_picklable_accepts_picklable_transforms(self):
         from repro.backends.faults import _identity
 
         BackendContext(
             campaign=None, inputs=None, power_transform=_identity
-        ).assert_picklable("spawn")
+        ).assert_picklable("pool")
 
 
 class TestSerialBackend:

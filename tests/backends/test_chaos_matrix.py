@@ -28,7 +28,7 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 TRANSIENT_BACKENDS = [
     "serial",
     pytest.param("fork", marks=needs_fork),
-    "spawn",
+    "pool",
 ]
 
 #: Zero-backoff policy: chaos tests replay the schedule, not the sleeps.

@@ -1,8 +1,8 @@
 """The acceptance matrix: every backend byte-identical to serial.
 
 float32 campaigns share one counter-based noise stream (chunk tasks
-carry the counter range via ``trace_offset``), so serial, fork, spawn
-and the persistent pool must agree bitwise — chunked and monolithic
+carry the counter range via ``trace_offset``), so serial, fork and the
+persistent pool must agree bitwise — chunked and monolithic
 alike.  float64-exact keeps per-chunk derived seeds, so equality holds
 per chunking (parallel == serial for the same chunk size).
 """
@@ -27,9 +27,9 @@ class TestFloat32Matrix:
         )
 
     @pytest.mark.parametrize("chunk_size", CHUNKINGS)
-    def test_spawn_matches_serial(self, capture, chunk_size):
+    def test_pool_matches_serial(self, capture, chunk_size):
         np.testing.assert_array_equal(
-            capture("spawn", chunk_size), capture("serial", chunk_size)
+            capture("pool", chunk_size), capture("serial", chunk_size)
         )
 
     def test_chunked_equals_monolithic(self, capture):
@@ -62,3 +62,10 @@ class TestFloat64PerChunking:
             capture("fork", None, precision="float64-exact"),
             capture("serial", None, precision="float64-exact"),
         )
+
+
+def test_stream_has_no_transport_option(make_engine, make_inputs):
+    """Chunks cross the process boundary as the slim pickle payload or
+    a worker-side fold state; the shared-memory transport is gone."""
+    with pytest.raises(TypeError, match="transport"):
+        make_engine().stream(make_inputs(), chunk_size=8, jobs=2, transport="shm")

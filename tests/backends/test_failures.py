@@ -18,7 +18,7 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 
 PARALLEL_POLICIES = [
     pytest.param("fork", marks=needs_fork),
-    "spawn",
+    "pool",
 ]
 
 
@@ -97,8 +97,8 @@ class TestDegradation:
         assert sum(c.n_traces for c in chunks) == 32
 
 
-class TestSpawnPicklability:
-    def test_unpicklable_transform_fails_before_any_worker_starts(
+class TestPoolPicklability:
+    def test_unpicklable_transform_fails_and_releases_workers(
         self, make_engine, make_inputs
     ):
         from repro.backends import BackendUnavailable
@@ -110,11 +110,11 @@ class TestSpawnPicklability:
                     make_inputs(32),
                     chunk_size=8,
                     jobs=2,
-                    backend="spawn",
+                    backend="pool",
                     power_transform=lambda power: power,
                 )
             )
-        assert list(multiprocessing.active_children()) == before
+        wait_for_children_to_exit(before)
 
 
 class TestMapItemsFailure:

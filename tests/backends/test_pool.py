@@ -60,6 +60,15 @@ class TestPersistentPool:
         backend.close()  # close() tolerates an already-closed pool
         assert backend._pool is None
 
+    def test_spawn_started_pool_matches_serial(self, capture):
+        # The parallel path a platform without fork keeps.
+        backend = PoolBackend(jobs=2, start_method="spawn")
+        try:
+            np.testing.assert_array_equal(capture(backend, 16), capture("serial", 16))
+            assert backend.describe()["start_method"] == "spawn"
+        finally:
+            backend.close()
+
     def test_unknown_start_method_raises(self):
         with pytest.raises(BackendUnavailable):
             PoolBackend(jobs=2, start_method="threads")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import BackendDegradationWarning
 from repro.backends.faults import InjectedWorkerError
 from repro.backends.resilience import (
     DEGRADATION_LADDER,
@@ -221,15 +222,14 @@ class TestQuarantine:
     def test_next_rung_walks_the_ladder(self):
         from repro.backends import fork_available
 
-        expected = "fork" if fork_available() else "spawn"
+        assert DEGRADATION_LADDER == ("pool", "fork", "serial")
+        expected = "fork" if fork_available() else "serial"
         assert next_rung("pool") == expected
-        assert next_rung("fork") == "spawn"
-        assert next_rung("spawn") == "serial"
+        assert next_rung("fork") == "serial"
         assert next_rung("serial") == "serial"  # the floor
 
     def test_next_rung_skips_quarantined_backends(self):
         quarantine_backend("fork", "down")
-        quarantine_backend("spawn", "down")
         assert next_rung("pool") == "serial"
 
     def test_pool_is_never_an_auto_rung(self):
@@ -241,9 +241,7 @@ class TestQuarantine:
         if not fork_available():
             pytest.skip("fork unavailable")
         quarantine_backend("fork", "watchdog exhausted")
-        backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
-        try:
-            assert backend.name != "fork"
-        finally:
-            if owned:
-                backend.close()
+        # No rung is left between fork and the serial floor: degrade loudly.
+        with pytest.warns(BackendDegradationWarning, match="quarantined"):
+            backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
+        assert backend.name == "serial" and owned

@@ -3,27 +3,23 @@
 import pytest
 
 from repro.backends import (
-    BackendContext,
     BackendDegradationWarning,
     BackendUnavailable,
     CLI_BACKEND_CHOICES,
     ForkBackend,
     PoolBackend,
     SerialBackend,
-    SpawnBackend,
     fork_available,
     make_backend,
     resolve_backend,
 )
-from repro.backends.faults import _identity
-
 needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 
 
 class TestMakeBackend:
     @pytest.mark.parametrize(
         ("policy", "cls"),
-        [("serial", SerialBackend), ("fork", ForkBackend), ("spawn", SpawnBackend)],
+        [("serial", SerialBackend), ("fork", ForkBackend)],
     )
     def test_names_map_to_classes(self, policy, cls):
         assert isinstance(make_backend(policy, jobs=2), cls)
@@ -43,6 +39,13 @@ class TestMakeBackend:
         assert "numba" not in BACKEND_POLICIES
         with pytest.raises(ValueError, match="unknown backend policy"):
             make_backend("numba", jobs=2)
+
+    def test_spawn_is_not_a_policy(self):
+        from repro.backends import BACKEND_POLICIES
+
+        assert BACKEND_POLICIES == ("auto", "serial", "fork", "pool")
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            make_backend("spawn", jobs=2)
 
 
 class TestResolveAuto:
@@ -64,20 +67,16 @@ class TestResolveAuto:
         assert isinstance(backend, ForkBackend) and owned
         assert backend.workers == 4
 
-    def test_falls_back_to_spawn_without_fork(self, monkeypatch):
+    def test_auto_without_fork_degrades_to_serial_loudly(self, monkeypatch):
         monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
-        context = BackendContext(campaign=None, inputs=None, power_transform=_identity)
-        backend, _owned = resolve_backend("auto", jobs=2, n_tasks=4, context=context)
-        assert isinstance(backend, SpawnBackend)
-
-    def test_degrades_loudly_when_nothing_parallel_works(self, monkeypatch):
-        monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
-        context = BackendContext(
-            campaign=None, inputs=None, power_transform=lambda power: power
-        )
-        with pytest.warns(BackendDegradationWarning, match="jobs=4"):
-            backend, owned = resolve_backend("auto", jobs=4, n_tasks=8, context=context)
+        with pytest.warns(BackendDegradationWarning, match="jobs=4.*unavailable"):
+            backend, owned = resolve_backend("auto", jobs=4, n_tasks=8)
         assert isinstance(backend, SerialBackend) and owned
+
+    def test_resolve_takes_no_context(self):
+        import inspect
+
+        assert "context" not in inspect.signature(resolve_backend).parameters
 
 
 class TestResolveExplicit:
@@ -94,6 +93,10 @@ class TestResolveExplicit:
     def test_numba_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown backend policy"):
             resolve_backend("numba", jobs=2)
+
+    def test_spawn_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend policy"):
+            resolve_backend("spawn", jobs=2)
 
     def test_non_string_policy_raises(self):
         with pytest.raises(TypeError, match="policy"):

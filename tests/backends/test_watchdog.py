@@ -80,11 +80,9 @@ class TestBackendBroken:
         np.testing.assert_array_equal(recovered, clean)
         assert is_quarantined("fork")
         assert "fork" in quarantine_info()["fork"]
-        # fork is quarantined first; on a slow machine the 1s deadline
-        # can also catch spawn's cold start, cascading one rung further —
-        # the ladder handles that too, ending at the serial floor.
-        assert report.quarantined[0] == "fork"
-        assert set(report.quarantined) <= {"fork", "spawn"}
+        # fork is quarantined, and the ladder's next rung is the
+        # serial floor, which finishes the stream.
+        assert report.quarantined == ["fork"]
         assert len(report.degradations) == len(report.quarantined)
         assert all("degrading to" in d for d in report.degradations)
 
@@ -110,12 +108,9 @@ class TestBackendBroken:
         # The next auto resolution in this process must avoid fork.
         from repro.backends import resolve_backend
 
-        backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
-        try:
-            assert backend.name != "fork"
-        finally:
-            if owned:
-                backend.close()
+        with pytest.warns(BackendDegradationWarning, match="quarantined"):
+            backend, owned = resolve_backend("auto", jobs=2, n_tasks=4)
+        assert backend.name == "serial" and owned
 
 
 class TestSerialHasNoWatchdog:

@@ -181,7 +181,6 @@ class TestFingerprints:
 BACKENDS = [
     "serial",
     pytest.param("fork", marks=needs_fork),
-    "spawn",
     pytest.param("pool", marks=needs_fork),
 ]
 

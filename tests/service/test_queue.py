@@ -5,11 +5,11 @@ import os
 
 import pytest
 
+from repro.atomicfile import atomic_write
 from repro.service.queue import (
     JOB_SCHEMA,
     JobError,
     JobQueue,
-    atomic_write_text,
     new_job_id,
 )
 
@@ -55,7 +55,7 @@ class TestSpoolLayout:
 
         directory = str(tmp_path)
         with pytest.raises(TypeError):
-            atomic_write_text(directory, os.path.join(directory, "out"), Boom())
+            atomic_write(os.path.join(directory, "out"), Boom())
         assert os.listdir(directory) == []
 
 
@@ -75,10 +75,8 @@ class TestRecords:
     def test_load_rejects_foreign_schema_versions(self, queue):
         record = make_job(queue)
         record["schema"] = "repro.job/999"
-        atomic_write_text(
-            os.path.join(queue.root, "jobs"),
-            os.path.join(queue.root, "jobs", f"{record['id']}.json"),
-            json.dumps(record),
+        atomic_write(
+            os.path.join(queue.root, "jobs", f"{record['id']}.json"), json.dumps(record)
         )
         with pytest.raises(JobError, match="repro.job/999"):
             queue.load_job(record["id"])
@@ -133,11 +131,7 @@ class TestClaiming:
         assert lost
 
     def test_marker_without_record_is_dropped(self, queue):
-        atomic_write_text(
-            os.path.join(queue.root, "queued"),
-            os.path.join(queue.root, "queued", "ghost"),
-            "anonymous",
-        )
+        atomic_write(os.path.join(queue.root, "queued", "ghost"), "anonymous")
         assert queue.claim() is None
         assert queue.markers("queued") == {}
         assert queue.markers("running") == {}
@@ -190,11 +184,7 @@ class TestRecovery:
         record = queue.claim()
         # Crash between commit and marker cleanup: record says done,
         # result exists, marker still in running/.
-        atomic_write_text(
-            os.path.join(queue.root, "results"),
-            queue.result_path(record["id"]),
-            json.dumps(ENVELOPE),
-        )
+        atomic_write(queue.result_path(record["id"]), json.dumps(ENVELOPE))
         record["state"] = "done"
         queue.save_job(record)
         assert queue.recover() == []

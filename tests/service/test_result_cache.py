@@ -72,7 +72,7 @@ class TestPerformanceKnobs:
         "knobs",
         [
             {"jobs": 4},
-            {"backend": "spawn"},
+            {"backend": "pool"},
             {"backend": "serial"},
             {"reduce": "worker"},
             {"retries": 3},
@@ -173,7 +173,7 @@ class TestResultCache:
             "precision": st.sampled_from(["float32", "float64-exact"]),
             "jobs": st.integers(min_value=1, max_value=8),
             "chunk_size": st.integers(min_value=1, max_value=512),
-            "backend": st.sampled_from(["auto", "serial", "fork", "spawn"]),
+            "backend": st.sampled_from(["auto", "serial", "fork", "pool"]),
             "reduce": st.sampled_from(["parent", "worker"]),
         },
     )

@@ -66,6 +66,11 @@ class TestAdmission:
             runtime.submit(ANON, "figure3", dict(REQUEST, backend="numba"))
         assert runtime.queue.depth() == 0
 
+    def test_retired_spawn_policy_rejects_before_queueing(self, runtime):
+        with pytest.raises(RequestSchemaError, match="backend"):
+            runtime.submit(ANON, "figure3", dict(REQUEST, backend="spawn"))
+        assert runtime.queue.depth() == 0
+
     @pytest.mark.parametrize("knob", [{"checkpoint": "/srv/x"}, {"resume": True}])
     def test_server_filesystem_knobs_are_policy_rejections(self, runtime, knob):
         with pytest.raises(ServiceRejection, match="not accepted over the wire"):

@@ -54,6 +54,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_backend_spawn_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", "--backend", "spawn"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_format_choices(self):
         assert build_parser().parse_args(["table1", "--format", "json"]).format == "json"
         with pytest.raises(SystemExit):
