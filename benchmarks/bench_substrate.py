@@ -51,7 +51,7 @@ def test_scalar_execute_aes(benchmark, aes_program):
 def test_tape_replay_aes_256_traces(benchmark, aes_program, aes_records):
     rng = np.random.default_rng(0)
     pts = rng.integers(0, 256, size=(256, 16), dtype=np.uint16).astype(np.uint8)
-    tape = compile_tape(aes_program, aes_records)
+    tape = compile_tape(aes_program, aes_records, ((), ((LAYOUT.state, 16),)))
     result = benchmark(tape.run, 256, mem_bytes={LAYOUT.state: pts})
     assert len(result.path) > 4000
 

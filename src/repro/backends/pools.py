@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.backends.base import (
@@ -98,6 +99,47 @@ _POOL_CAMPAIGNS: dict[str, TraceCampaign] = {}
 
 def _pool_init() -> None:  # pragma: no cover - exercised via Pool
     _POOL_CAMPAIGNS.clear()
+
+
+def _pool_ping(_index: int) -> int:  # pragma: no cover - exercised via Pool
+    return os.getpid()
+
+
+#: how long :meth:`PoolBackend.start` waits for its workers to answer
+_START_TIMEOUT_S = 120.0
+
+
+def _await_workers(pool, jobs: int) -> None:
+    """Block until a fresh pool has answered ``jobs`` pings.
+
+    ``multiprocessing.Pool`` silently replaces a worker that dies, so a
+    worker that cannot even start -- a spawned interpreter re-running a
+    script without an ``if __name__ == "__main__":`` guard dies while
+    bootstrapping -- is respawned forever, and a task sent to the pool
+    never comes back.  What is checked is that the pings were answered
+    (by at least one worker; a fast one may answer them all) and that no
+    worker was replaced before they were; otherwise, or with no answer
+    within ``_START_TIMEOUT_S``, :class:`BackendUnavailable` is raised.
+    A worker that dies later is the chunk-level resilience's business.
+    """
+    probe = pool.map_async(_pool_ping, range(jobs), chunksize=1)
+    # ``Pool._pool`` (the live worker processes) is a CPython internal;
+    # it is the only way to see a worker replaced behind the pool's back.
+    started = {process.pid for process in pool._pool}
+    deadline = time.monotonic() + _START_TIMEOUT_S
+    while not probe.ready():
+        current = {process.pid for process in pool._pool}
+        if not current <= started:
+            raise BackendUnavailable(
+                "pool workers died while starting (with the spawn start method, "
+                "the main script needs an `if __name__ == \"__main__\":` guard)"
+            )
+        if time.monotonic() > deadline:
+            raise BackendUnavailable(
+                f"pool workers did not answer within {_START_TIMEOUT_S:.0f} s"
+            )
+        probe.wait(0.05)
+    probe.get()
 
 
 def _pool_campaign(spec: CampaignSpec) -> TraceCampaign:  # pragma: no cover
@@ -349,10 +391,19 @@ class PoolBackend(ExecutionBackend):
         return self.jobs
 
     def start(self) -> "PoolBackend":
+        """Build the pool once; raise :class:`BackendUnavailable` if its
+        workers cannot start (see :func:`_await_workers`)."""
         if self._pool is None:
-            self._pool = multiprocessing.get_context(self.start_method).Pool(
+            pool = multiprocessing.get_context(self.start_method).Pool(
                 processes=self.jobs, initializer=_pool_init
             )
+            try:
+                _await_workers(pool, self.jobs)
+            except BaseException:
+                pool.terminate()
+                pool.join()
+                raise
+            self._pool = pool
         return self
 
     def close(self) -> None:

@@ -482,12 +482,14 @@ class StreamingCampaign:
         inputs.validate()
         bounds = self.chunk_bounds(inputs.n_traces, chunk_size)
         jobs = self.jobs if jobs is None else max(1, jobs)
-        # Compile before any fork so workers inherit the schedule, and
-        # resolve the campaign's quantizer full-scale so every chunk —
-        # in every worker — shares one LSB.  Calibration sees chunk 0's
-        # power transform (factories must be pure functions of the
-        # chunk index — parallel backends may evaluate factory(0) twice).
+        # Compile, tape included, before any fork so workers inherit
+        # both, and resolve the campaign's quantizer full-scale so every
+        # chunk — in every worker — shares one LSB.  Calibration sees
+        # chunk 0's power transform (factories must be pure functions of
+        # the chunk index — parallel backends may evaluate factory(0)
+        # twice).
         compiled = self.compiled(inputs)
+        compiled.tape  # noqa: B018 - built on first access
         transform0 = (
             power_transform_factory(0)
             if power_transform_factory is not None

@@ -462,7 +462,8 @@ def ablate_scalar_write_port(
         state.regs[reg] = value
     records = executor.run(state=state).records
     # Both pipeline models see the same values: one tape replay.
-    table = compile_tape(program, records).run(inputs.n_traces, regs=inputs.regs).table
+    tape = compile_tape(program, records, inputs.signature())
+    table = tape.run(inputs.n_traces, regs=inputs.regs).table
 
     def measure_on(schedule_cls) -> float:
         pipeline = schedule_cls()

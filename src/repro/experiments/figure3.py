@@ -22,6 +22,7 @@ Shape criteria checked against the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class Figure3Result:
     n_traces: int
     checks: dict[str, bool] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def timecourse(self) -> np.ndarray:
         return self.cpa.timecourse(self.true_key_byte)
 

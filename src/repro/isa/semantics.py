@@ -277,16 +277,13 @@ def _execute_dp(instr: Instruction, state: ArchState, record: InstrRecord) -> No
         _finish_dp(instr, state, record, op1_value | op2_value, shifter_carry)
     elif op is Opcode.BIC:
         _finish_dp(instr, state, record, op1_value & ~op2_value & WORD_MASK, shifter_carry)
-    elif op in (Opcode.ADD, Opcode.CMN):
-        _finish_arith(instr, state, record, op1_value, op2_value, 0)
-    elif op is Opcode.ADC:
-        _finish_arith(instr, state, record, op1_value, op2_value, int(carry_in))
-    elif op in (Opcode.SUB, Opcode.CMP):
-        _finish_arith(instr, state, record, op1_value, ~op2_value & WORD_MASK, 1)
-    elif op is Opcode.SBC:
-        _finish_arith(instr, state, record, op1_value, ~op2_value & WORD_MASK, int(carry_in))
-    elif op is Opcode.RSB:
-        _finish_arith(instr, state, record, op2_value, ~op1_value & WORD_MASK, 1)
+    elif op in _ARITH_ADD or op in _ARITH_SUB:
+        result, nzcv = arith(op, op1_value, op2_value, carry_in)
+        record.result = result
+        record.writes_result = not instr.is_compare
+        if instr.set_flags:
+            flags = state.flags
+            flags.n, flags.z, flags.c, flags.v = nzcv
     else:
         raise ExecutionError(f"unhandled data-processing opcode {op}")
 
@@ -308,19 +305,36 @@ def _finish_dp(
         # V unaffected by logical operations.
 
 
-def _finish_arith(
-    instr: Instruction, state: ArchState, record: InstrRecord, a: int, b: int, carry: int
-) -> None:
-    total = a + b + carry
+def arith(
+    op: Opcode, a: int, b: int, carry_in: bool
+) -> tuple[int, tuple[bool, bool, bool, bool]]:
+    """Result and NZCV flags of an arithmetic opcode, ``a = rn``, ``b = <Operand2>``.
+
+    Every opcode is one 33-bit sum ``x + y + cin`` (a subtraction adds
+    the complement, ``rsb`` swaps its operands); C is the sum's carry
+    out and V the signed overflow of ``x + y``.
+    """
+    if op in (Opcode.ADD, Opcode.CMN):
+        x, y, cin = a, b, 0
+    elif op is Opcode.ADC:
+        x, y, cin = a, b, int(carry_in)
+    elif op in (Opcode.SUB, Opcode.CMP):
+        x, y, cin = a, ~b & WORD_MASK, 1
+    elif op is Opcode.SBC:
+        x, y, cin = a, ~b & WORD_MASK, int(carry_in)
+    elif op is Opcode.RSB:
+        x, y, cin = b, ~a & WORD_MASK, 1
+    else:
+        raise ExecutionError(f"{op} is not an arithmetic opcode")
+    total = x + y + cin
     result = total & WORD_MASK
-    record.result = result
-    record.writes_result = not instr.is_compare
-    if instr.set_flags:
-        state.flags.n = bool(result >> 31)
-        state.flags.z = result == 0
-        state.flags.c = total > WORD_MASK
-        sign_a, sign_b, sign_r = a >> 31, b >> 31, result >> 31
-        state.flags.v = sign_a == sign_b and sign_a != sign_r
+    sign_x, sign_y, sign_r = x >> 31, y >> 31, result >> 31
+    return result, (
+        bool(sign_r),
+        result == 0,
+        total > WORD_MASK,
+        sign_x == sign_y and sign_x != sign_r,
+    )
 
 
 def _read_multiply_operands(instr: Instruction, state: ArchState, record: InstrRecord) -> None:

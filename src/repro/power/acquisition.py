@@ -25,12 +25,13 @@ campaigns, a sweep's scope-only points -- replay the device once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -101,13 +102,24 @@ class CompiledAcquisition:
 
     ``path`` is the dynamic path of the compile-time reference run,
     ``schedule``/``leakage`` its pipeline and leakage schedules, and
-    ``tape`` the trace tape every batch replays.
+    ``tape`` the trace tape every batch replays.  The tape is built on
+    first use, so a compile read only for its schedules (figure4's
+    window prototype) never pays for one.
     """
 
     path: list[int]
     schedule: Schedule
     leakage: LeakageSchedule
-    tape: TraceTape
+    #: builds :attr:`tape`; dropped, with the records it holds, once called
+    build_tape: Callable[[], TraceTape] | None = field(repr=False)
+    _tape: TraceTape | None = field(default=None, init=False, repr=False)
+
+    @property
+    def tape(self) -> TraceTape:
+        if self._tape is None:
+            assert self.build_tape is not None
+            self._tape, self.build_tape = self.build_tape(), None
+        return self._tape
 
 
 def digest_inputs(inputs: Any) -> str:
@@ -302,11 +314,12 @@ class TraceCampaign:
     def compile_with(self, inputs: BatchInputs) -> CompiledAcquisition:
         """Run the reference executor on trace 0 and compile the schedule.
 
-        Also trace-compiles the dynamic path into a replayable op tape.
-        A windowed campaign's tape retains every value in the dynamic
+        Also prepares the replayable op tape of the dynamic path, built
+        on the first replay (:attr:`CompiledAcquisition.tape`).  A windowed campaign's tape retains every value in the dynamic
         range the leakage schedule references (window events plus each
         component's pre-window bus state); a windowless one retains
-        everything.
+        everything.  The tape is partially evaluated against the batch's
+        input signature, so it replays only what the inputs can change.
         """
         inputs.validate()
         self.compile_count += 1
@@ -336,9 +349,13 @@ class TraceCampaign:
             lo = min(referenced) if referenced else 0
             hi = max(referenced) + 1 if referenced else 0
             keep = {(dyn, kind) for dyn in range(lo, hi) for kind in ValueKind}
-        tape = compile_tape(self.program, result.records, keep=keep)
         compiled = CompiledAcquisition(
-            path=result.path, schedule=schedule, leakage=leakage, tape=tape
+            path=result.path,
+            schedule=schedule,
+            leakage=leakage,
+            build_tape=functools.partial(
+                compile_tape, self.program, result.records, inputs.signature(), keep=keep
+            ),
         )
         self.adopt(compiled, inputs)
         return compiled

@@ -15,6 +15,7 @@ one attack instead of one attack per budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,13 +26,17 @@ from repro.sca.stats import normalize_budgets, pearson_corr, prefix_pearson_corr
 
 @dataclass
 class CpaResult:
-    """Outcome of a CPA over a guess space."""
+    """Outcome of a CPA over a guess space.
+
+    The correlations are never modified after construction, so the
+    per-guess peaks every ranking read starts from are computed once.
+    """
 
     correlations: np.ndarray  # [n_guesses, n_samples]
     guesses: np.ndarray  # the guess values, aligned with rows
     n_traces: int
 
-    @property
+    @cached_property
     def peak_per_guess(self) -> np.ndarray:
         return np.max(np.abs(self.correlations), axis=1)
 

@@ -89,3 +89,40 @@ class TestPersistentPool:
                 )
         finally:
             backend.close()
+
+
+UNGUARDED_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.backends import BackendUnavailable, PoolBackend
+from repro.experiments.figure3 import run_figure3
+
+# No `if __name__ == "__main__":` guard: every spawned worker re-runs
+# this module while bootstrapping and dies.
+pool = PoolBackend(jobs=2, start_method="spawn")
+try:
+    run_figure3(n_traces=400, chunk_size=100, precision="float32", backend=pool)
+except BackendUnavailable as exc:
+    print("unavailable:", exc)
+    sys.exit(3)
+finally:
+    pool.close()
+print("ran")
+"""
+
+
+class TestStartup:
+    def test_unguarded_spawn_script_fails_fast(self, tmp_path):
+        """Workers that die while bootstrapping raise instead of hanging."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        script = tmp_path / "unguarded.py"
+        script.write_text(UNGUARDED_SCRIPT.format(src=os.path.abspath(src)))
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=90
+        )
+        assert done.returncode == 3, done.stderr[-2000:]
+        assert "unavailable: pool workers died while starting" in done.stdout

@@ -150,6 +150,30 @@ class TestStreamedReplay:
         layouts = {id(c.trace_set.table.layout) for c in chunks}
         assert len(layouts) == 1
 
+    def test_tape_is_built_on_first_replay(self, monkeypatch):
+        """A compile read only for its schedules never builds a tape."""
+        import repro.power.acquisition as acquisition
+
+        built = []
+        real = acquisition.compile_tape
+
+        def counted(*args, **kwargs):
+            built.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(acquisition, "compile_tape", counted)
+        clear_schedule_cache()
+        inputs = make_inputs()
+        engine = StreamingCampaign(
+            assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1
+        )
+        compiled = engine.compiled(inputs)
+        assert compiled.leakage is not None and built == []
+        engine.acquire(inputs)
+        engine.acquire(inputs)
+        assert built == [inputs.signature()]
+        assert compiled.build_tape is None  # the records are released
+
     def test_streamed_equals_monolithic_with_tape(self):
         clear_schedule_cache()
         inputs = make_inputs(n=60)

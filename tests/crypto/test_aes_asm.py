@@ -54,7 +54,8 @@ class TestFunctionalEquivalence:
         records = run_program(
             program, memory_init={LAYOUT.state: bytes(pts[0])}, entry="aes_main"
         ).records
-        table = compile_tape(program, records).run(n, mem_bytes={LAYOUT.state: pts}).table
+        tape = compile_tape(program, records, ((), ((LAYOUT.state, 16),)))
+        table = tape.run(n, mem_bytes={LAYOUT.state: pts}).table
         # (dyn, byte shift) of the last store covering each state byte;
         # store addresses do not depend on the plaintext
         last_store: dict[int, tuple[int, int]] = {}

@@ -100,6 +100,12 @@ def reference_table(program, rows):
     return ValueTable.from_records([run.records for run in runs]), runs[0].path
 
 
+def signature(regs=(), mem=()):
+    """A ``BatchInputs.signature()``-shaped tuple: varying registers and
+    ``(address, length)`` memory blocks."""
+    return (tuple(sorted(int(reg) for reg in regs)), tuple(sorted(mem)))
+
+
 def batch_regs(rows):
     return {
         reg: np.array([row[reg] for row in rows], dtype=np.uint32) for reg in rows[0]
@@ -108,7 +114,7 @@ def batch_regs(rows):
 
 def tape_batch(program, rows, keep=None):
     records = scalar_reference(program, rows[0]).records
-    tape = compile_tape(program, records, keep=keep)
+    tape = compile_tape(program, records, signature(rows[0]), keep=keep)
     return tape, tape.run(len(rows), regs=batch_regs(rows))
 
 
@@ -213,7 +219,7 @@ class TestEquivalence:
         program = assemble(src)
         rows = [{Reg.R1: 3 * i} for i in range(8)]
         records = scalar_reference(program, rows[0]).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R1]))
         # uniform page image: the table is shared, never materialized
         regs = {Reg.R1: np.array([r[Reg.R1] for r in rows], dtype=np.uint32)}
         result = tape.run(len(rows), regs=regs)
@@ -232,7 +238,7 @@ class TestEquivalence:
         data = np.arange(n * 4, dtype=np.uint8).reshape(n, 4)
         indices = np.array([0, 1, 2, 3, 0, 2], dtype=np.uint32)
         records = scalar_reference(program, {Reg.R1: int(indices[0])}).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R1], [(0x9000, 4)]))
         result = tape.run(n, regs={Reg.R1: indices}, mem_bytes={0x9000: data})
         loaded = result.table.values(1, ValueKind.RESULT)
         assert loaded is not None
@@ -267,14 +273,14 @@ class TestDivergence:
     def test_other_uniform_direction_raises_tape_divergence(self):
         program = assemble(BRANCH_SRC)
         records = scalar_reference(program, {Reg.R1: 100}).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R1]))
         with pytest.raises(TapeDivergence):
             tape.run(3, regs={Reg.R1: np.full(3, 5, dtype=np.uint32)})
 
     def test_cross_trace_divergence_raises_execution_error(self):
         program = assemble(BRANCH_SRC)
         records = scalar_reference(program, {Reg.R1: 100}).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R1]))
         with pytest.raises(ExecutionError) as excinfo:
             tape.run(2, regs={Reg.R1: np.array([100, 5], dtype=np.uint32)})
         assert not isinstance(excinfo.value, TapeDivergence)
@@ -282,7 +288,7 @@ class TestDivergence:
     def test_divergent_bx_target_raises(self):
         program = assemble("bx lr")
         records = scalar_reference(program, {}).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R14]))
         lr = np.array([0xFFFFFFFC, 0x8000], dtype=np.uint32)
         with pytest.raises(ExecutionError):
             tape.run(2, regs={Reg.R14: lr})
@@ -295,7 +301,7 @@ class TestDivergence:
         """
         program = assemble(src)
         records = scalar_reference(program, {Reg.R1: 0}).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature([Reg.R1]))
         offs = np.array([0, 0x200], dtype=np.uint32)  # 0x9F00 vs 0xA100
         with pytest.raises(ExecutionError):
             tape.run(2, regs={Reg.R1: offs})
@@ -307,7 +313,7 @@ class TestReplayReuse:
         program = assemble(TEMPLATES[4] + "\n    bx lr")
         rows = [{Reg.R1: 11 * i + 1, Reg.R2: 0} for i in range(7)]
         records = scalar_reference(program, rows[0]).records
-        tape = compile_tape(program, records)
+        tape = compile_tape(program, records, signature(rows[0]))
         for chunk in (rows[:4], rows[4:]):
             result = tape.run(len(chunk), regs=batch_regs(chunk))
             assert_replay_matches(tape, result, program, chunk)
@@ -342,3 +348,276 @@ class TestHelpers:
                 pos += chunk
             assert pos == length
             assert len(spans) == len({span[0] for span in spans})
+
+
+# ----------------------------------------------------------------------
+# Partial evaluation: folding against the input signature
+# ----------------------------------------------------------------------
+
+#: varying inputs of the random programs: two registers and a 16-byte
+#: block; r10/r11/r12 hold the block, a scratch buffer and a table base
+INPUT_REGS = (Reg.R1, Reg.R2)
+INPUT_BLOCK = (0x9000, 16)
+FOLD_SIGNATURE = signature(INPUT_REGS, [INPUT_BLOCK])
+#: every register and every page the random programs touch varies
+ALL_VARYING = signature(range(16), [(0x9000, 4096), (0xA000, 4096)])
+PROLOGUE = "movw r10, #0x9000\n    movt r10, #0\n    movw r11, #0x9100\n    movw r12, #0xA000"
+TABLE = "    .org 0xA000\n" + "\n".join(
+    "    .byte " + ", ".join(str((37 * i + 11 * j + 5) & 0xFF) for j in range(16))
+    for i in range(16)
+)
+DATA_REGS = st.sampled_from(["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8"])
+DP_OPS = ["add", "sub", "rsb", "eor", "orr", "and", "bic", "adc", "sbc"]
+#: conditions that a flag setter of the same snippet decides uniformly
+ANY_COND = ["eq", "ne", "cs", "cc", "mi", "pl", "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le"]
+NZ_COND = ["eq", "ne", "mi", "pl"]
+
+
+@st.composite
+def operand2(draw):
+    kind = draw(st.sampled_from(["imm", "reg", "shift", "rrx"]))
+    if kind == "imm":
+        return f"#{draw(st.integers(0, 0xFF)) << draw(st.sampled_from([0, 8, 24]))}"
+    reg = draw(DATA_REGS)
+    if kind == "reg":
+        return reg
+    if kind == "rrx":
+        return f"{reg}, rrx"
+    shift = draw(st.sampled_from(["lsl", "lsr", "asr", "ror"]))
+    return f"{reg}, {shift} #{draw(st.integers(1, 31))}"
+
+
+@st.composite
+def snippet(draw):
+    """A few instructions of one family; every address and every
+    condition stays uniform across traces whatever the inputs."""
+    rd, rn, rm, rx = (draw(DATA_REGS) for _ in range(4))
+    family = draw(
+        st.sampled_from(
+            ["dp", "flags", "carry", "mul", "movt", "regshift", "const_mem", "lookup",
+             "tainted_store", "writeback", "conditional"]
+        )
+    )
+    if family == "dp":
+        op = draw(st.sampled_from(DP_OPS + ["mov", "mvn"]))
+        s = draw(st.sampled_from(["", "s"]))
+        if op in ("mov", "mvn"):
+            return [f"{op}{s} {rd}, {draw(operand2())}"]
+        return [f"{op}{s} {rd}, {rn}, {draw(operand2())}"]
+    if family == "flags":
+        op = draw(st.sampled_from(["cmp", "cmn", "tst", "teq"]))
+        return [f"{op} {rn}, {draw(operand2())}"]
+    if family == "carry":
+        # a carry set from both inputs or from constants, read by an op
+        # on an input that may set the flags itself
+        op = draw(st.sampled_from(["adds", "subs", "rsbs", "adcs", "sbcs"]))
+        if draw(st.booleans()):
+            setter = [f"{op} {rd}, {draw(st.sampled_from(['r1, r2', 'r2, r1']))}"]
+        else:
+            value = draw(st.integers(0, 0xFFFF))
+            setter = [f"movw {rd}, #{value}", f"{op} {rd}, {rd}, #{draw(st.integers(0, 255))}"]
+        source = draw(st.sampled_from(["r1", "r2", rm]))
+        reader = draw(st.sampled_from([
+            f"adc{draw(st.sampled_from(['', 's']))} {rx}, {source}, {rn}",
+            f"sbc{draw(st.sampled_from(['', 's']))} {rx}, {source}, {rn}",
+            f"mov{draw(st.sampled_from(['', 's']))} {rx}, {source}, rrx",
+            f"movs {rx}, {source}, lsl #1",
+        ]))
+        return [*setter, reader]
+    if family == "mul":
+        if draw(st.booleans()):
+            return [f"mul{draw(st.sampled_from(['', 's']))} {rd}, {rn}, {rm}"]
+        return [f"mla {rd}, {rn}, {rm}, {rx}"]
+    if family == "movt":
+        # a constant address built from movw/movt, or a varying OP1
+        if draw(st.booleans()):
+            return [f"movw {rd}, #{draw(st.integers(0, 0xFFFF))}", f"movt {rd}, #0"]
+        return [f"movt {rd}, #{draw(st.integers(0, 0xFFFF))}"]
+    if family == "regshift":
+        # the amount register is uniform: a constant, or varying-but-zero
+        amount = draw(st.sampled_from([
+            f"mov {rx}, #{draw(st.integers(0, 40))}",
+            f"and {rx}, {rn}, #0",
+        ]))
+        shift = draw(st.sampled_from(["lsl", "lsr", "asr", "ror"]))
+        op = draw(st.sampled_from(["mov", "movs", "add", "eors"]))
+        operands = f"{rm}, {shift} {rx}"
+        if not op.startswith("mov"):
+            operands = f"{rn}, {operands}"
+        return [amount, f"{op} {rd}, {operands}"]
+    if family == "const_mem":
+        op, width = draw(st.sampled_from(
+            [("ldr", 4), ("ldrb", 1), ("ldrh", 2), ("str", 4), ("strb", 1), ("strh", 2)]
+        ))
+        base, size = draw(st.sampled_from([("r10", 16), ("r11", 32)]))
+        offset = draw(st.integers(0, size // width - 1)) * width
+        return [f"{op} {rd}, [{base}, #{offset}]"]
+    if family == "lookup":
+        variant = draw(st.sampled_from(["byte", "word", "unbounded"]))
+        if variant == "unbounded":
+            # a uniform index no bound proves: page and alignment checked at replay
+            return [f"sub {rx}, {rn}, {rn}", f"ldr {rd}, [r12, {rx}]"]
+        if variant == "word":
+            return [f"and {rx}, {rn}, #0x3C", f"ldr {rd}, [r12, {rx}]"]
+        # byte-bounded indices into the page-aligned table
+        index = draw(st.sampled_from([
+            [f"and {rx}, {rn}, #0xFF"],
+            [f"ldrb {rx}, [r10, #{draw(st.integers(0, 15))}]"],
+            [f"eor {rx}, {rn}, {rm}", f"and {rx}, {rx}, #0xFF"],
+        ]))
+        return [*index, f"ldrb {rd}, [r12, {rx}]"]
+    if family == "tainted_store":
+        store, width = draw(st.sampled_from([("str", 4), ("strb", 1), ("strh", 2)]))
+        mask = {4: "#0xC", 2: "#0xE", 1: "#0xF"}[width]
+        load, offset = draw(st.sampled_from([("ldr", 4), ("ldrb", 5), ("ldrh", 6)]))
+        lines = [
+            f"and {rx}, {rn}, {mask}",
+            f"{store} {rm}, [r11, {rx}]",
+            f"{load} {rd}, [r11, #{offset}]",
+        ]
+        if draw(st.booleans()):
+            # a constant store the varying load may read back
+            const, at = draw(st.sampled_from([("str", 4), ("strb", 5), ("strh", 6)]))
+            value = draw(st.integers(1, 0xFFFF))
+            lines[:0] = [f"movw {rd}, #{value}", f"{const} {rd}, [r11, #{at}]"]
+        return lines
+    if family == "writeback":
+        base = 0x9120 + 4 * draw(st.integers(0, 3))
+        return [
+            f"movw r9, #{base}",
+            f"strb {rm}, [r9], #1",
+            f"ldrb {rd}, [r9, #-1]!",
+            f"str {rn}, [r9, #4]!",
+        ]
+    # flag-setting op feeding (possibly squashed) conditionals
+    setter, conds = draw(st.sampled_from([
+        (f"cmp {rn}, {rn}", ANY_COND),
+        (f"movs {rx}, #{draw(st.sampled_from([0, 1, 0x80000000]))}", NZ_COND),
+        (f"ands {rx}, {rn}, #0", NZ_COND),
+        (f"orrs {rx}, {rn}, #0x80000000", NZ_COND),
+    ]))
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        cond = draw(st.sampled_from(conds))
+        body.append(draw(st.sampled_from([
+            f"add{cond} {rd}, {rn}, {draw(operand2())}",
+            f"mov{cond} {rd}, {rm}",
+            f"mul{cond} {rd}, {rn}, {rm}",
+            f"ldrb{cond} {rd}, [r10, #{draw(st.integers(0, 15))}]",
+            f"str{cond} {rm}, [r11, #8]",
+            f"adc{cond} {rd}, {rn}, {rm}",
+        ])))
+    return [setter, *body]
+
+
+@st.composite
+def folding_case(draw):
+    lines = [line for _ in range(draw(st.integers(1, 8))) for line in draw(snippet())]
+    source = f"    {PROLOGUE}\n    " + "\n    ".join(lines) + "\n    bx lr\n" + TABLE
+    n = draw(st.integers(2, 4))
+    rows = [{Reg.R1: draw(U32), Reg.R2: draw(U32)} for _ in range(n)]
+    block = np.array(
+        [[draw(st.integers(0, 255)) for _ in range(INPUT_BLOCK[1])] for _ in range(n)],
+        dtype=np.uint8,
+    )
+    window = draw(st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(1, 12))))
+    return source, rows, block, window
+
+
+def scalar_run(program, row, block_row):
+    executor = Executor(program)
+    state = executor.fresh_state()
+    for reg, value in row.items():
+        state.regs[reg] = value
+    state.memory.write_bytes(INPUT_BLOCK[0], bytes(block_row))
+    return executor.run(state=state)
+
+
+class TestFoldingProperties:
+    @given(folding_case())
+    @settings(max_examples=150, deadline=None)
+    def test_folded_tape_matches_scalar_and_unfolded(self, case):
+        source, rows, block, window = case
+        program = assemble(source)
+        runs = [scalar_run(program, row, block[i]) for i, row in enumerate(rows)]
+        records = runs[0].records
+        keep = None
+        if window is not None:
+            lo, width = window
+            keep = {(dyn, kind) for dyn in range(lo, lo + width) for kind in ValueKind}
+        folded = compile_tape(program, records, FOLD_SIGNATURE, keep=keep)
+        unfolded = compile_tape(program, records, ALL_VARYING, keep=keep)
+        regs = batch_regs(rows)
+        mem = {INPUT_BLOCK[0]: block}
+        got = folded.run(len(rows), regs=regs, mem_bytes=mem)
+        want = unfolded.run(len(rows), regs=regs, mem_bytes=mem)
+        assert got.table.matrix.tobytes() == want.table.matrix.tobytes()
+        assert folded.n_ops <= unfolded.n_ops
+        reference = ValueTable.from_records([run.records for run in runs])
+        for (dyn, kind), row in folded.layout.slots.items():
+            assert np.array_equal(got.table.matrix[row], reference.values(dyn, kind)), (
+                f"dyn {dyn} {kind}: {program.instructions[got.path[dyn]]}"
+            )
+
+
+class TestFoldingStructure:
+    def test_figure4_window_replays_about_a_hundred_ops(self):
+        """Round-1 SubBytes out of a full AES run: the tail past the
+        window folds away and no memory check survives.  A change that
+        defeats folding fails here instead of slowing figure4 down."""
+        from repro.campaigns.engine import StreamingCampaign, clear_schedule_cache
+        from repro.crypto.aes_asm import LAYOUT, aes128_program
+        from repro.experiments.figure4 import _subbytes_window
+        from repro.power.acquisition import TraceCampaign, random_inputs
+
+        clear_schedule_cache()
+        program = aes128_program(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+        inputs = random_inputs(100, mem_blocks={LAYOUT.state: 16}, seed=0xF16004)
+        prototype = StreamingCampaign(program, entry="aes_main", seed=0xF16004)
+        window = _subbytes_window(program, prototype, inputs)
+        # the windowless prototype is read only for its schedule
+        assert prototype.compiled(inputs).build_tape is not None
+        campaign = TraceCampaign(program, entry="aes_main", window_cycles=window)
+        tape = campaign.compile_with(inputs).tape
+        assert tape.n_dyn > 4000
+        assert tape.n_ops <= 150
+        assert "page" not in tape.checks and "align" not in tape.checks
+
+    def test_run_rejects_inputs_outside_the_signature(self):
+        program = assemble(TEMPLATES[4] + "\n    bx lr")
+        records = scalar_reference(program, {Reg.R1: 5, Reg.R2: 9}).records
+        tape = compile_tape(program, records, signature([Reg.R1], [(0x9000, 8)]))
+        ones = np.ones(2, dtype=np.uint32)
+        with pytest.raises(ValueError, match="registers"):
+            tape.run(2, regs={Reg.R1: ones, Reg.R2: ones})
+        with pytest.raises(ValueError, match="memory block"):
+            tape.run(2, mem_bytes={0x9004: np.zeros((2, 8), dtype=np.uint8)})
+        with pytest.raises(ValueError, match="memory block"):
+            tape.run(2, mem_bytes={0xA000: np.zeros((2, 4), dtype=np.uint8)})
+        # a batch varying less than the signature still replays
+        tape.run(2, regs={Reg.R1: ones}, mem_bytes={0x9002: np.zeros((2, 4), dtype=np.uint8)})
+
+    def test_unbounded_table_index_keeps_its_page_check(self):
+        program = assemble("movw r4, #0x9F00\n    ldrb r0, [r4, r1]\n    bx lr")
+        records = scalar_reference(program, {Reg.R1: 0}).records
+        tape = compile_tape(program, records, signature([Reg.R1]))
+        assert tape.checks == {"page": 1}
+        with pytest.raises(ExecutionError, match="straddles pages"):
+            tape.run(2, regs={Reg.R1: np.array([0, 0x200], dtype=np.uint32)})
+
+    def test_byte_bounded_index_proves_its_page(self):
+        src = "movw r4, #0xA000\n    and r1, r1, #0xFF\n    ldrb r0, [r4, r1]\n    bx lr"
+        program = assemble(src)
+        records = scalar_reference(program, {Reg.R1: 0}).records
+        tape = compile_tape(program, records, signature([Reg.R1]))
+        assert tape.checks == {}
+        assert tape.n_ops == 2  # the movw folds; and + ldrb replay
+
+    def test_unaligned_varying_word_index_keeps_its_alignment_check(self):
+        src = "movw r4, #0xA000\n    and r1, r1, #0xFF\n    ldr r0, [r4, r1]\n    bx lr"
+        program = assemble(src)
+        records = scalar_reference(program, {Reg.R1: 0}).records
+        tape = compile_tape(program, records, signature([Reg.R1]))
+        assert tape.checks == {"align": 1}
+        with pytest.raises(ExecutionError, match="unaligned"):
+            tape.run(2, regs={Reg.R1: np.array([0, 2], dtype=np.uint32)})

@@ -180,7 +180,7 @@ class TestPackedEvaluation:
             for (dyn, kind) in compiled.refs
             if dyn >= 0 and kind is not None
         }
-        tape = compile_tape(program, result.records, keep=keep)
+        tape = compile_tape(program, result.records, (sorted(rows[0]), ()), keep=keep)
         regs = {
             reg: np.array([row[reg] for row in rows], dtype=np.uint32)
             for reg in rows[0]
@@ -221,7 +221,7 @@ class TestPackedEvaluation:
         pipeline = Pipeline()
         schedule = pipeline.schedule(result.records)
         leakage = LeakageSchedule(schedule, pipeline.components)
-        tape = compile_tape(program, result.records)
+        tape = compile_tape(program, result.records, ((Reg.R1, Reg.R9), ()))
         regs = {Reg.R1: np.array([1], dtype=np.uint32), Reg.R9: np.array([0x30000], dtype=np.uint32)}
         table = tape.run(1, regs=regs).table
         profile = cortex_a7_profile()
