@@ -15,7 +15,7 @@ from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.power.acquisition import random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 SCOPE = ScopeConfig(noise_sigma=40.0, n_averages=16, quantize_bits=8)
@@ -43,9 +43,7 @@ def _streamed_cpa(engine, inputs, chunk_size, jobs=1):
     accumulator = CpaAccumulator()
     for chunk in engine.stream(inputs, chunk_size=chunk_size, jobs=jobs):
         chunk_plaintexts = plaintexts[chunk.start : chunk.stop]
-        accumulator.update(
-            chunk.traces, lambda g: hw_sbox_model(chunk_plaintexts, 0, g)
-        )
+        accumulator.update(chunk.traces, hw_sbox_matrix(chunk_plaintexts, 0))
     return accumulator.result()
 
 
@@ -56,7 +54,7 @@ def test_monolithic_campaign(once):
     def run():
         trace_set = engine.acquire(inputs)
         plaintexts = inputs.mem_bytes[LAYOUT.state]
-        return cpa_attack(trace_set.traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        return cpa_attack(trace_set.traces, hw_sbox_matrix(plaintexts, 0))
 
     result = once(run)
     assert result.best_guess == KEY[0]
@@ -88,7 +86,7 @@ def test_streamed_campaign_outgrows_monolithic_memory(once):
     n_traces = 2 * N_TRACES
     inputs = _inputs(n_traces)
     engine = _engine(chunk_size=CHUNK)
-    n_samples = engine.compiled(inputs)[2].n_samples
+    n_samples = engine.compiled(inputs).leakage.n_samples
     monolithic_traces_bytes = n_traces * n_samples * 4  # float32 matrix
     monolithic_power_bytes = n_traces * n_samples * 8  # float64 power
 

@@ -15,7 +15,7 @@ from repro.isa.vtrace import compile_tape
 from repro.power.acquisition import TraceCampaign, random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 from repro.uarch.pipeline import Pipeline
 
 KEY = bytes(range(16))
@@ -79,5 +79,5 @@ def test_cpa_256_guesses(benchmark):
     )
     traces = campaign.acquire(inputs).traces
     pts = inputs.mem_bytes[LAYOUT.state]
-    result = benchmark(cpa_attack, traces, lambda g: hw_sbox_model(pts, 0, g))
+    result = benchmark(cpa_attack, traces, hw_sbox_matrix(pts, 0))
     assert result.best_guess == KEY[0]

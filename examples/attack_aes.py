@@ -23,7 +23,7 @@ from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.power.acquisition import random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -37,9 +37,7 @@ def full_key_recovery() -> None:
     plaintexts = inputs.mem_bytes[LAYOUT.state]
     recovered = bytearray(16)
     for byte_index in range(16):
-        result = cpa_attack(
-            trace_set.traces, lambda g: hw_sbox_model(plaintexts, byte_index, g)
-        )
+        result = cpa_attack(trace_set.traces, hw_sbox_matrix(plaintexts, byte_index))
         recovered[byte_index] = result.best_guess
         mark = "ok" if result.best_guess == KEY[byte_index] else "XX"
         print(

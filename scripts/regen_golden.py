@@ -51,15 +51,16 @@ def digest(argv: list[str]) -> str:
     env = dict(os.environ)
     src = str(REPO / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    out = subprocess.run(
+    run = subprocess.run(
         [sys.executable, "-m", "repro", *argv, "--format", "json"],
         cwd=REPO,
         env=env,
-        check=True,
         capture_output=True,
         text=True,
-    ).stdout
-    canonical = json.dumps(stable(json.loads(out)), sort_keys=True)
+    )
+    if run.returncode != 0:
+        raise RuntimeError(f"python -m repro {' '.join(argv)} failed:\n{run.stderr[-2000:]}")
+    canonical = json.dumps(stable(json.loads(run.stdout)), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

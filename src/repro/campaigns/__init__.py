@@ -7,10 +7,13 @@ The shared acquisition→attack path of every experiment in the repo:
   optional multiprocessing fan-out;
 * :mod:`repro.campaigns.accumulators` — online sufficient statistics
   (Pearson, SNR, Welch-t, CPA) that fold chunks into the same results
-  the monolithic two-pass code produces;
+  the two-pass references produce; a CPA model is a ``[k, n_guesses]``
+  matrix or a :class:`~repro.sca.models.ClassModel`, nothing else;
 * :mod:`repro.campaigns.reduction` — :class:`ChunkFold`, the one way
   drivers hand the engine a statistic (merged in chunk order, in the
-  parent or worker-side);
+  parent or worker-side): every trace-driven scenario's correlations
+  fold through :meth:`StreamingCampaign.reduce`, an unchunked run
+  being the single-chunk case;
 * :mod:`repro.campaigns.checkpoint` — atomic, versioned
   checkpoint/resume state for killed-and-restarted campaigns;
 * :mod:`repro.campaigns.registry` — the declarative scenario registry

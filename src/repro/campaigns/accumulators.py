@@ -1,10 +1,12 @@
 """Online sufficient-statistics accumulators for streaming campaigns.
 
-The monolithic attack path materializes a full ``[n_traces, n_samples]``
-trace matrix and runs two-pass statistics over it.  The accumulators in
-this module fold fixed-size trace chunks into running sufficient
-statistics instead, so a campaign of arbitrary size runs in memory
-proportional to one chunk:
+The two-pass references (:func:`repro.sca.stats.pearson_corr`,
+:func:`repro.sca.cpa.cpa_attack`) read a whole ``[n_traces,
+n_samples]`` trace matrix.  The accumulators in this module fold
+fixed-size trace chunks into running sufficient statistics instead, so
+a campaign of arbitrary size runs in memory proportional to one chunk;
+every trace-driven scenario folds through them, via the chunk folds of
+:mod:`repro.campaigns.reduction`:
 
 * :class:`OnlineMeanVar` — Welford/Chan mean and variance, vectorized
   over sample columns, with batched updates and pairwise ``merge`` (the
@@ -17,12 +19,11 @@ proportional to one chunk:
 * :class:`OnlineTTestAccumulator` — two-group Welford reproducing
   :func:`repro.sca.ttest.welch_ttest`;
 * :class:`CpaAccumulator` — folds chunks into a full
-  :class:`repro.sca.cpa.CpaResult`, the engine behind
-  :func:`repro.sca.cpa.cpa_attack_streaming`.  For a
+  :class:`repro.sca.cpa.CpaResult`.  A model is one of two forms: a
+  ``[k, n_guesses]`` matrix, folded as per-guess co-moments, or a
   :class:`repro.sca.models.ClassModel` (a model that sees each trace
-  only through a class label, like Figure 3's HW(SBOX[pt ^ guess]))
-  it folds :class:`PartitionSums` — per-class trace sums — instead of
-  per-guess co-moments.
+  only through a class label, like Figure 3's HW(SBOX[pt ^ guess])),
+  folded as :class:`PartitionSums` — per-class trace sums.
 
 The accumulators use the *centered* (co-moment) update rather than raw
 sum/sum-of-squares, which is what keeps the streamed results numerically
@@ -37,9 +38,9 @@ DC offsets up to a few hundred noise sigmas (``docs/performance.md``,
 Every finishing method (``correlations``, ``result``) is a *snapshot*:
 it reads the sufficient statistics without consuming them, so a caller
 can interleave updates and snapshots to obtain the statistic at every
-prefix of a stream — that is the engine behind the prefix-incremental
-curves (:func:`repro.sca.cpa.cpa_attack_curve` and friends) and the
-chunk-aligned :class:`CpaBudgetSnapshots`.
+prefix of a stream — that is the engine behind the chunk-aligned
+:class:`CpaBudgetSnapshots` and the budget snapshots of
+:class:`~repro.campaigns.reduction.ColumnCorrFold`.
 
 Every accumulator additionally exposes a compact ``state()`` /
 ``from_state()`` serialization (plain dicts of numpy arrays and
@@ -55,7 +56,7 @@ to the serial fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -404,7 +405,7 @@ class OnlineTTestAccumulator:
 
 
 #: :attr:`CpaAccumulator.kind` of the per-guess co-moment statistics
-#: (any ``model_fn``; also every state written without a kind).
+#: (a model matrix; also every state written without a kind).
 COMOMENT = "comoment"
 #: :attr:`CpaAccumulator.kind` of the per-class trace sums folded for a
 #: :class:`repro.sca.models.ClassModel`.
@@ -510,17 +511,23 @@ def _kind_of(stats: "OnlineCorrAccumulator | PartitionSums") -> str:
     return PARTITION if isinstance(stats, PartitionSums) else COMOMENT
 
 
-def _model_input(model_fn: Callable[[int], np.ndarray], guesses: np.ndarray):
-    """What a chunk's CPA statistics are computed from: a ``ClassModel``
-    as is, any other callable as its ``[k, n_guesses]`` model matrix.
-    Either slices by trace range."""
+def _model_input(model, guesses: np.ndarray, n_traces: int):
+    """A chunk's CPA model, checked: a ``ClassModel`` as is, or a
+    ``[k, n_guesses]`` matrix as float64.  Either slices by trace range."""
     from repro.sca.models import ClassModel
 
-    if isinstance(model_fn, ClassModel):
-        return model_fn
-    return np.stack(
-        [np.asarray(model_fn(int(g)), dtype=np.float64) for g in guesses], axis=1
-    )
+    if isinstance(model, ClassModel):
+        return model
+    if not isinstance(model, np.ndarray):
+        raise TypeError(
+            "a CPA model is a ClassModel or a [n_traces, n_guesses] matrix, "
+            f"got {type(model).__name__}"
+        )
+    if model.shape != (n_traces, guesses.size):
+        raise ValueError(
+            f"model matrix has shape {model.shape}, expected ({n_traces}, {guesses.size})"
+        )
+    return np.asarray(model, dtype=np.float64)
 
 
 def _chunk_statistics(traces: np.ndarray, model) -> "OnlineCorrAccumulator | PartitionSums":
@@ -536,15 +543,16 @@ def _chunk_statistics(traces: np.ndarray, model) -> "OnlineCorrAccumulator | Par
 class CpaAccumulator:
     """Folds trace chunks into a full :class:`repro.sca.cpa.CpaResult`.
 
-    Each chunk arrives with its own model evaluator (closing over that
-    chunk's plaintexts), mirroring the monolithic
-    :func:`repro.sca.cpa.cpa_attack` signature per chunk.
+    Each chunk arrives with its own model (built from that chunk's
+    plaintexts), mirroring the :func:`repro.sca.cpa.cpa_attack`
+    signature per chunk.
 
     The statistics take one of two kinds, fixed by the first chunk:
     a :class:`~repro.sca.models.ClassModel` folds :class:`PartitionSums`
-    (``kind == PARTITION``); any other callable is evaluated for every
-    guess and folds per-guess co-moments (``kind == COMOMENT``).
-    Combining the two kinds raises :class:`StatisticKindMismatch`.
+    (``kind == PARTITION``); a ``[k, n_guesses]`` model matrix folds
+    per-guess co-moments (``kind == COMOMENT``).  Combining the two
+    kinds raises :class:`StatisticKindMismatch`; any other model raises
+    :class:`TypeError`.
     """
 
     def __init__(self, guesses: Sequence[int] = tuple(range(256))) -> None:
@@ -567,9 +575,10 @@ class CpaAccumulator:
     def n_traces(self) -> int:
         return 0 if self._stats is None else self._stats.n
 
-    def update(self, traces: np.ndarray, model_fn: Callable[[int], np.ndarray]) -> None:
-        """Fold one chunk; ``model_fn(guess)`` returns ``[chunk_traces]``."""
-        self._absorb(_chunk_statistics(traces, _model_input(model_fn, self.guesses)))
+    def update(self, traces: np.ndarray, model) -> None:
+        """Fold one chunk under its ``ClassModel`` or ``[k, n_guesses]`` matrix."""
+        model = _model_input(model, self.guesses, traces.shape[0])
+        self._absorb(_chunk_statistics(traces, model))
 
     def _absorb(self, stats: "OnlineCorrAccumulator | PartitionSums") -> None:
         """Combine one chunk's statistics, exactly as ``merge`` would."""
@@ -727,9 +736,9 @@ class CpaBudgetSnapshots:
         """One past the last stream position folded (``start`` + length)."""
         return self._splitter._base
 
-    def update(self, traces: np.ndarray, model_fn: Callable[[int], np.ndarray]) -> None:
+    def update(self, traces: np.ndarray, model) -> None:
         """Fold one chunk, snapshotting at every budget it crosses."""
-        model = _model_input(model_fn, self.guesses)
+        model = _model_input(model, self.guesses, traces.shape[0])
         for low, high, budget in self._splitter.split(traces.shape[0]):
             stats = _chunk_statistics(traces[low:high], model[low:high])
             if self._defer:

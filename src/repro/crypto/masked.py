@@ -37,7 +37,7 @@ from repro.isa.registers import Reg
 from repro.power.acquisition import BatchInputs, TraceCampaign
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import CpaResult, cpa_attack
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,7 @@ def run_masked_demo(
         window = (issue[max(0, lookup_dyn - 4)], issue[-1] + 6)
         campaign.window_cycles = window
         trace_set = campaign.acquire(inputs)
-        pts = plaintexts.reshape(-1, 1).repeat(16, axis=1)  # adapt to the model API
-        return cpa_attack(
-            trace_set.traces, lambda g: hw_sbox_model(pts, 0, g)
-        )
+        return cpa_attack(trace_set.traces, hw_sbox_matrix(plaintexts, None))
 
     leaky = attack(True, seed ^ 0x1)
     hardened = attack(False, seed ^ 0x2)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaigns.accumulators import BudgetSplitter, OnlineCorrAccumulator
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import ColumnCorrFold
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
 from repro.campaigns.registry import Scenario, register
@@ -45,7 +45,7 @@ from repro.power.acquisition import BatchInputs
 from repro.power.hamming import hamming_weight
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import Oscilloscope, ScopeConfig
-from repro.sca.stats import pearson_corr, prefix_pearson_corr, significance_threshold
+from repro.sca.stats import pearson_corr, significance_threshold
 from repro.uarch.config import PipelineConfig
 from repro.uarch.pipeline import Pipeline
 from repro.uarch.scalar import ScalarPipeline
@@ -135,10 +135,12 @@ def _measure(
 
     Returns ``(peak, n_samples, curve)`` so callers can
     Bonferroni-correct the significance threshold for the
-    max-over-samples statistic.  With ``chunk_size`` set the campaign
-    streams through the engine and the correlation folds chunk by
-    chunk; with ``budgets`` set the same single pass also snapshots the
-    peak |corr| at every listed trace budget (no recompute per budget).
+    max-over-samples statistic.  The correlation folds through
+    :meth:`StreamingCampaign.reduce` with a
+    :class:`~repro.campaigns.reduction.ColumnCorrFold` (one whole chunk
+    without ``chunk_size``); with ``budgets`` set the same pass also
+    snapshots the peak |corr| at every listed trace budget (no
+    recompute per budget).
     """
     program = assemble(source)
     engine = StreamingCampaign(
@@ -157,40 +159,17 @@ def _measure(
         samples.update(int(s) for s in leakage.sample_positions(name))
     if not samples:
         return 0.0, 0, None
-    columns = sorted(samples)
-    model = model.astype(np.float64)
+    columns = tuple(sorted(samples))
     budget_list = (
-        sorted({min(int(b), inputs.n_traces) for b in budgets}) if budgets else None
+        tuple(sorted({min(int(b), inputs.n_traces) for b in budgets})) if budgets else ()
     )
-    curve: dict[int, float] | None = None
-    if chunk_size is None:
-        trace_set = engine.acquire(inputs)
-        corr = pearson_corr(model, trace_set.traces[:, columns])
-        if budget_list:
-            prefixes = prefix_pearson_corr(
-                model, trace_set.traces[:, columns], budget_list
-            )
-            curve = {
-                budget: float(np.max(np.abs(prefixes[i])))
-                for i, budget in enumerate(budget_list)
-            }
-    else:
-        accumulator = OnlineCorrAccumulator()
-        splitter = BudgetSplitter(budget_list) if budget_list else None
-        curve = {} if budget_list else None
-        for chunk in engine.stream(inputs):
-            rows = chunk.traces[:, columns]
-            chunk_model = model[chunk.start : chunk.stop]
-            if splitter is None:
-                accumulator.update(chunk_model, rows)
-                continue
-            for low, high, budget in splitter.split(rows.shape[0]):
-                accumulator.update(chunk_model[low:high], rows[low:high])
-                if budget is not None:
-                    snapshot = accumulator.snapshot()
-                    curve[budget] = float(np.max(np.abs(snapshot)))
-        corr = accumulator.correlations()
-    return float(corr[np.argmax(np.abs(corr))]), len(columns), curve
+    fold = ColumnCorrFold(
+        columns=(columns,),
+        values=model.astype(np.float64)[:, None],
+        budgets=budget_list,
+    )
+    corrs = engine.reduce(inputs, fold).value
+    return corrs.peaks()[0], len(columns), corrs.curve() if budget_list else None
 
 
 def _bonferroni_threshold(n_traces: int, n_samples: int, alpha: float = 0.002) -> float:

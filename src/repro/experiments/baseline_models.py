@@ -25,19 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.audit.auditor import MicroarchAuditor
-from repro.campaigns.accumulators import OnlineCorrAccumulator
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import ColumnCorrFold
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
 from repro.campaigns.registry import Scenario, register
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
 from repro.isa.values import ValueKind
+from repro.isa.vtrace import PackedValues
 from repro.power.acquisition import BatchInputs
 from repro.power.hamming import hamming_distance
 from repro.power.isa_level import IsaLevelModel
 from repro.power.scope import ScopeConfig
-from repro.sca.stats import pearson_corr, significance_threshold
+from repro.sca.stats import significance_threshold
 
 
 @dataclass
@@ -161,30 +162,22 @@ def _measure_case(
         jobs=jobs,
         backend=backend,
     )
-    leakage = engine.compiled(inputs).leakage
+    compiled = engine.compiled(inputs)
+    leakage, layout = compiled.leakage, compiled.tape.layout
     base = program.instruction_at(program.label_address("bench_start")).index
     refs = tuple((base + pos, kind) for pos, kind in value_refs)
     samples = sorted(
         {int(s) for comp in _ISSUE_LAYER for s in leakage.sample_positions(comp)}
     )
     model = hamming_distance(value_a, value_b).astype(np.float64)
+    fold = ColumnCorrFold(columns=(tuple(samples),), values=model[:, None])
+    peak = engine.reduce(inputs, fold).value.peaks()[0]
 
-    if chunk_size is None:
-        trace_set = engine.acquire(inputs)
-        table = trace_set.table
-        corr = pearson_corr(model, trace_set.traces[:, samples])
-    else:
-        accumulator = OnlineCorrAccumulator()
-        table = None
-        for chunk in engine.stream(inputs):
-            accumulator.update(model[chunk.start : chunk.stop], chunk.traces[:, samples])
-            table = chunk.trace_set.table
-        corr = accumulator.correlations()
-    peak = float(corr[np.argmax(np.abs(corr))])
-
-    # What does the instruction-level model predict?
-    isa_model = IsaLevelModel()
-    isa_predicts = isa_model.predicts_interaction(table, refs[0], refs[1])
+    # What does the instruction-level model predict?  It only asks
+    # whether both values exist, which the compiled tape's slot layout
+    # answers: a zero-trace table over it holds every slot, no values.
+    slots = PackedValues(layout, np.zeros((layout.n_slots + 1, 0), dtype=np.uint32))
+    isa_predicts = IsaLevelModel().predicts_interaction(slots, refs[0], refs[1])
 
     # What does the microarchitecture-aware analysis predict?
     taints = {Reg.R5: frozenset({"sA"}), Reg.R6: frozenset({"sB"})}

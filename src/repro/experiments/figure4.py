@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
-from repro.campaigns.accumulators import CpaAccumulator, CpaBudgetSnapshots
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import SboxCpaBudgetFold, SboxCpaFold
 from repro.campaigns.registry import Scenario, register
 from repro.crypto.aes_asm import LAYOUT, aes128_program
 from repro.experiments.reporting import ascii_plot, render_table
@@ -42,8 +42,7 @@ from repro.os_sim.environment import Environment, bare_metal, loaded_linux
 from repro.power.acquisition import TraceSet, random_inputs
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import ScopeConfig
-from repro.sca.cpa import CpaResult, cpa_attack, cpa_attack_curve
-from repro.sca.models import hd_consecutive_stores_model
+from repro.sca.cpa import CpaResult
 from repro.uarch.config import PipelineConfig
 
 
@@ -155,31 +154,18 @@ def _subbytes_window(program, engine: StreamingCampaign, inputs) -> tuple[int, i
     return (schedule.issue_cycle[sb_dyn] - 2, schedule.issue_cycle[shr_dyn] + 6)
 
 
-def _store_poi(leakage, n_samples: int) -> np.ndarray:
-    """Store-path byte-lane points of interest inside the window."""
-    poi = leakage.sample_positions("align_store")
-    return poi[(poi >= 0) & (poi < n_samples)]
+def _store_poi(leakage) -> tuple[int, ...] | None:
+    """Store-path byte-lane points of interest inside the window.
 
-
-def _attack(
-    trace_set: TraceSet, plaintexts: np.ndarray, byte_index: int, known_key_byte: int
-) -> CpaResult:
-    """Chained HD attack: byte ``i`` known, guess byte ``i+1``.
-
-    The CPA is restricted to the store-path byte-lane samples (the
-    points of interest a profiling phase identifies) — the
-    microarchitecture-*aware* step that makes the model of Figure 4
-    work: the attacker knows the leak lives on the consecutive-store
-    buffer, not anywhere in the window.
+    The CPA is restricted to these samples (the points of interest a
+    profiling phase identifies) — the microarchitecture-*aware* step
+    that makes the model of Figure 4 work: the attacker knows the leak
+    lives on the consecutive-store buffer, not anywhere in the window.
+    ``None`` (every sample) when the window holds no store-path event.
     """
-    poi = _store_poi(trace_set.leakage, trace_set.traces.shape[1])
-    traces = trace_set.traces[:, poi] if poi.size else trace_set.traces
-    return cpa_attack(
-        traces,
-        lambda guess: hd_consecutive_stores_model(
-            plaintexts, byte_index, (known_key_byte, guess)
-        ),
-    )
+    poi = leakage.sample_positions("align_store")
+    poi = poi[(poi >= 0) & (poi < leakage.n_samples)]
+    return tuple(int(p) for p in poi) if poi.size else None
 
 
 def run_figure4(
@@ -199,14 +185,15 @@ def run_figure4(
 ) -> Figure4Result:
     """Run the loaded-Linux campaign and the chained HD-store attack.
 
-    With ``chunk_size`` set every campaign (loaded, bare-metal
-    reference, no-averaging control) streams through the engine and the
-    CPA folds chunk by chunk; the default monolithic path keeps the
-    historical numerics.  ``margin_budgets`` additionally snapshots the
-    loaded campaign's best-vs-second confidence at every listed trace
-    budget from one cumulative pass (no recompute per budget);
-    ``precision="float32"`` switches the capture chain to the
-    counter-based high-throughput mode.
+    Every campaign (loaded, bare-metal reference, no-averaging control)
+    folds the chained HD attack — byte ``byte_index`` known, guess byte
+    ``byte_index + 1`` — through :meth:`StreamingCampaign.reduce` with
+    an :class:`~repro.campaigns.reduction.SboxCpaFold`; without
+    ``chunk_size`` the campaign is one whole chunk.  ``margin_budgets``
+    additionally snapshots the loaded campaign's best-vs-second
+    confidence at every listed trace budget from the same pass (no
+    recompute per budget); ``precision="float32"`` switches the capture
+    chain to the counter-based high-throughput mode.
     """
     environment = environment if environment is not None else loaded_linux()
     profile = profile if profile is not None else cortex_a7_profile()
@@ -218,12 +205,11 @@ def run_figure4(
         program, config=config, profile=profile, entry="aes_main", seed=seed
     )
     window = _subbytes_window(program, prototype, inputs)
-    plaintexts = inputs.mem_bytes[LAYOUT.state]
     known = key[byte_index]
 
     budgets = None
     if margin_budgets is not None:
-        budgets = sorted({min(int(b), n_traces) for b in margin_budgets})
+        budgets = tuple(sorted({min(int(b), n_traces) for b in margin_budgets}))
 
     def acquire_and_attack(
         env: Environment,
@@ -243,54 +229,30 @@ def run_figure4(
             jobs=jobs,
             backend=backend,
         )
-        curve: dict[int, float] | None = None
-        if chunk_size is None:
-            trace_set = engine.acquire(inputs, power_transform=env.transform)
-            if want_curve and budgets:
-                poi = _store_poi(trace_set.leakage, trace_set.traces.shape[1])
-                traces = trace_set.traces[:, poi] if poi.size else trace_set.traces
-                snapshots = cpa_attack_curve(
-                    traces,
-                    lambda guess: hd_consecutive_stores_model(
-                        plaintexts, byte_index, (known, guess)
-                    ),
-                    budgets,
-                )
-                curve = dict(
-                    zip(budgets, (float(c) for c in snapshots.margin_confidences()))
-                )
-            return trace_set, _attack(trace_set, plaintexts, byte_index, known), curve
-        # One streaming CPA serves both outputs: CpaBudgetSnapshots
-        # keeps accumulating past the last budget, so its final state
-        # is the full-campaign result.
-        folder = (
-            CpaBudgetSnapshots(budgets)
-            if want_curve and budgets
-            else CpaAccumulator()
+        model = dict(
+            byte_index=byte_index,
+            known_key_byte=known,
+            columns=_store_poi(engine.compiled(inputs).leakage),
         )
-        last_chunk: TraceSet | None = None
-        for chunk in engine.stream(
-            inputs, power_transform_factory=lambda i: env.reseeded(i).transform
-        ):
-            poi = _store_poi(chunk.trace_set.leakage, chunk.traces.shape[1])
-            traces = chunk.traces[:, poi] if poi.size else chunk.traces
-            chunk_plaintexts = plaintexts[chunk.start : chunk.stop]
-            folder.update(
-                traces,
-                lambda guess, chunk_plaintexts=chunk_plaintexts: (
-                    hd_consecutive_stores_model(
-                        chunk_plaintexts, byte_index, (known, guess)
-                    )
-                ),
-            )
-            last_chunk = chunk.trace_set
-        assert last_chunk is not None
-        if isinstance(folder, CpaBudgetSnapshots):
+        # One fold serves both outputs: CpaBudgetSnapshots keeps
+        # accumulating past the last budget, so its final state is the
+        # full-campaign result.
+        snapshots = want_curve and budgets
+        fold = (
+            SboxCpaBudgetFold(budgets=budgets, **model)
+            if snapshots
+            else SboxCpaFold(**model)
+        )
+        reduced = engine.reduce(
+            inputs, fold, power_transform_factory=lambda i: env.reseeded(i).transform
+        )
+        curve = None
+        if snapshots:
             curve = {
                 budget: float(result.margin_confidence())
-                for budget, result in zip(budgets, folder.results)
+                for budget, result in zip(budgets, reduced.value.results)
             }
-        return last_chunk, folder.result(), curve
+        return reduced.trace_set, reduced.value.result(), curve
 
     loaded, cpa, margin_curve = acquire_and_attack(
         environment,

@@ -33,7 +33,7 @@ from repro.power.acquisition import random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack, cpa_attack_curve
 from repro.sca.distinguish import success_rate_curve
-from repro.sca.models import hd_consecutive_stores_model, hw_sbox_matrix
+from repro.sca.models import hd_stores_matrix, hw_sbox_matrix
 
 
 @dataclass
@@ -97,15 +97,10 @@ def _model_matrices(
     subset, so the matrices are built once per campaign and merely
     row-permuted per repeat.
     """
-    hw = hw_sbox_matrix(plaintexts, byte_index)
-    hd = np.stack(
-        [
-            hd_consecutive_stores_model(plaintexts, byte_index, (known_key_byte, g))
-            for g in range(256)
-        ],
-        axis=1,
-    ).astype(np.float64)
-    return hw, hd
+    return (
+        hw_sbox_matrix(plaintexts, byte_index),
+        hd_stores_matrix(plaintexts, byte_index, known_key_byte),
+    )
 
 
 def run_success_curves(

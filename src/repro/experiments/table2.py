@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.campaigns.accumulators import OnlineCorrAccumulator
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import ColumnCorrFold
 from repro.api.capabilities import Capability
 from repro.api.request import RunRequest
 from repro.campaigns.registry import Scenario, register
@@ -47,7 +47,7 @@ from repro.isa.values import ValueKind
 from repro.power.acquisition import BatchInputs
 from repro.power.profile import LeakageProfile, cortex_a7_profile
 from repro.power.scope import ScopeConfig
-from repro.sca.stats import pearson_corr, significance_threshold
+from repro.sca.stats import significance_threshold
 from repro.uarch.config import PipelineConfig
 
 # ----------------------------------------------------------------------
@@ -476,20 +476,9 @@ class Table2Result:
         return "\n".join(parts)
 
 
-def _model_values(table, bench_base: int, refs, n_traces: int) -> np.ndarray:
-    """HW (one ref) or HD (two refs) model values over the batch."""
-    arrays = []
-    for pos, kind in refs:
-        values = table.values(bench_base + pos, kind)
-        if values is None:
-            values = np.zeros(n_traces, dtype=np.uint32)
-        arrays.append(values.astype(np.uint32))
-    if len(arrays) == 1:
-        return np.bitwise_count(arrays[0]).astype(np.float64)
-    return np.bitwise_count(arrays[0] ^ arrays[1]).astype(np.float64)
-
-
-def _model_samples(leakage, components, bench_base: int, refs, extend: bool = True) -> np.ndarray:
+def _model_samples(
+    leakage, components, bench_base: int, refs, extend: bool = True
+) -> tuple[int, ...]:
     """Samples where the model's referenced values transition.
 
     For every column component, every event referencing one of the
@@ -510,7 +499,7 @@ def _model_samples(leakage, components, bench_base: int, refs, extend: bool = Tr
                 samples.add(int(positions[index]))
                 if extend and index + 1 < len(events):
                     samples.add(int(positions[index + 1]))
-    return np.array(sorted(samples), dtype=np.int64)
+    return tuple(sorted(samples))
 
 
 def table2_scope() -> ScopeConfig:
@@ -530,10 +519,10 @@ def run_table2(
 ) -> Table2Result:
     """Run all seven benchmarks and classify every model expression.
 
-    With ``chunk_size`` set each benchmark campaign streams through the
-    engine; every (component, model) correlation folds chunk by chunk in
-    an :class:`OnlineCorrAccumulator`.  The default monolithic path
-    keeps the historical numerics.
+    Each benchmark campaign folds through :meth:`StreamingCampaign.reduce`
+    with one :class:`~repro.campaigns.reduction.ColumnCorrFold`: every
+    (component, model) correlation accumulates chunk by chunk (one
+    whole chunk without ``chunk_size``) from the chunk's value table.
     """
     config = config if config is not None else PipelineConfig()
     profile = profile if profile is not None else cortex_a7_profile()
@@ -558,47 +547,23 @@ def run_table2(
         compiled = engine.compiled(inputs)
         schedule, leakage = compiled.schedule, compiled.leakage
         bench_base = program.instruction_at(program.label_address("bench_start")).index
-        model_samples = [
-            _model_samples(
-                leakage,
-                COLUMN_COMPONENTS[model.column],
-                bench_base,
-                model.refs,
-                extend=model.column != "Register File",
-            )
-            for model in spec.models
-        ]
-
-        peaks: list[float]
-        if chunk_size is None:
-            trace_set = engine.acquire(inputs)
-            peaks = []
-            for model, samples in zip(spec.models, model_samples):
-                if samples.size == 0:
-                    peaks.append(0.0)
-                    continue
-                values = _model_values(trace_set.table, bench_base, model.refs, n_traces)
-                corr = pearson_corr(values, trace_set.traces[:, samples])
-                peaks.append(float(corr[np.argmax(np.abs(corr))]))
-        else:
-            accumulators = [OnlineCorrAccumulator() for _ in spec.models]
-            for chunk in engine.stream(inputs):
-                for model, samples, accumulator in zip(
-                    spec.models, model_samples, accumulators
-                ):
-                    if samples.size == 0:
-                        continue
-                    values = _model_values(
-                        chunk.trace_set.table, bench_base, model.refs, chunk.n_traces
-                    )
-                    accumulator.update(values, chunk.traces[:, samples])
-            peaks = []
-            for samples, accumulator in zip(model_samples, accumulators):
-                if samples.size == 0:
-                    peaks.append(0.0)
-                    continue
-                corr = accumulator.correlations()
-                peaks.append(float(corr[np.argmax(np.abs(corr))]))
+        fold = ColumnCorrFold(
+            columns=tuple(
+                _model_samples(
+                    leakage,
+                    COLUMN_COMPONENTS[model.column],
+                    bench_base,
+                    model.refs,
+                    extend=model.column != "Register File",
+                )
+                for model in spec.models
+            ),
+            refs=tuple(
+                tuple((bench_base + pos, kind) for pos, kind in model.refs)
+                for model in spec.models
+            ),
+        )
+        peaks = engine.reduce(inputs, fold).value.peaks()
 
         model_outcomes = []
         for model, peak in zip(spec.models, peaks):

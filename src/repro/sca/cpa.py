@@ -3,7 +3,10 @@
 A CPA attack correlates, for every key guess, a model of an intermediate
 value's leakage against every trace sample; the guess whose model best
 fits the measurements reveals the key byte.  The engine is fully
-vectorized: one matrix product evaluates all guesses at all samples.
+vectorized: the model is one ``[n_traces, n_guesses]`` matrix (see
+:mod:`repro.sca.models`) and one matrix product evaluates all guesses
+at all samples.  A streamed campaign folds the same attack chunk by
+chunk through :class:`repro.campaigns.accumulators.CpaAccumulator`.
 
 :func:`cpa_attack_curve` is the prefix-incremental form: one pass over
 a campaign yields the attack outcome at *every* requested trace budget
@@ -14,14 +17,14 @@ one attack instead of one attack per budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.sca.distinguish import best_vs_second_confidence
-from repro.sca.stats import normalize_budgets, pearson_corr, prefix_pearson_corr
+from repro.sca.stats import normalize_budgets, pearson_corr
 
 
 @dataclass
@@ -72,36 +75,37 @@ class CpaResult:
         return self.correlations[row]
 
 
-def _models_matrix(model_fn, guess_array: np.ndarray, n_traces: int) -> np.ndarray:
-    """``float64[n_traces, n_guesses]`` model matrix from a callable or array.
+def _models_matrix(models: np.ndarray, guess_array: np.ndarray, n_traces: int) -> np.ndarray:
+    """The validated ``float64[n_traces, n_guesses]`` model matrix.
 
-    ``model_fn`` is either the historical per-guess callable or an
-    already-evaluated ``[n_traces, n_guesses]`` matrix (attack harnesses
-    that resample one campaign many times build the matrix once and
-    permute its rows).
+    Column ``g`` is the model under guess ``guess_array[g]``; build it
+    with one gather (:func:`repro.sca.models.hw_sbox_matrix`,
+    :func:`repro.sca.models.hd_stores_matrix`).  Attack harnesses that
+    resample one campaign build it once and permute its rows.
     """
-    if isinstance(model_fn, np.ndarray):
-        models = np.asarray(model_fn, dtype=np.float64)
-        if models.shape != (n_traces, guess_array.size):
-            raise ValueError(
-                f"model matrix has shape {models.shape}, expected "
-                f"({n_traces}, {guess_array.size})"
-            )
-        return models
-    return np.stack(
-        [np.asarray(model_fn(int(g)), dtype=np.float64) for g in guess_array], axis=1
-    )
+    if not isinstance(models, np.ndarray):
+        raise TypeError(
+            "a CPA model is a [n_traces, n_guesses] matrix, "
+            f"got {type(models).__name__}"
+        )
+    models = np.asarray(models, dtype=np.float64)
+    if models.shape != (n_traces, guess_array.size):
+        raise ValueError(
+            f"model matrix has shape {models.shape}, expected "
+            f"({n_traces}, {guess_array.size})"
+        )
+    return models
 
 
 def cpa_attack(
     traces: np.ndarray,
-    model_fn: Callable[[int], np.ndarray] | np.ndarray,
+    models: np.ndarray,
     guesses: Sequence[int] = tuple(range(256)),
 ) -> CpaResult:
-    """Run a CPA: ``model_fn(guess)`` returns the ``[n_traces]`` model
-    (or pass the precomputed ``[n_traces, n_guesses]`` matrix)."""
+    """Run a CPA of the ``[n_traces, n_guesses]`` model matrix against
+    every trace sample."""
     guess_array = np.asarray(list(guesses))
-    models = _models_matrix(model_fn, guess_array, traces.shape[0])
+    models = _models_matrix(models, guess_array, traces.shape[0])
     correlations = pearson_corr(models, traces)
     return CpaResult(correlations=correlations, guesses=guess_array, n_traces=traces.shape[0])
 
@@ -112,16 +116,15 @@ class CpaCurve:
 
     ``peak_per_guess[b, g]`` is the max-over-samples absolute
     correlation of guess ``g`` using the first ``budgets[b]`` traces —
-    everything a success-rate or margin evaluation needs; the full
-    per-budget correlation matrices are optional
-    (``keep_correlations=True``).
+    everything a success-rate or margin evaluation needs.  A full
+    :class:`CpaResult` at each budget is the streamed
+    :class:`~repro.campaigns.accumulators.CpaBudgetSnapshots`' job.
     """
 
     budgets: np.ndarray  # [n_budgets]
     guesses: np.ndarray  # [n_guesses]
     peak_per_guess: np.ndarray  # [n_budgets, n_guesses]
     n_samples: int
-    correlations: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def best_guesses(self) -> np.ndarray:
@@ -154,24 +157,12 @@ class CpaCurve:
         column = int(np.nonzero(self.guesses == guess)[0][0])
         return self.peak_per_guess[:, column]
 
-    def result_at(self, index: int) -> CpaResult:
-        """The full :class:`CpaResult` at budget ``index`` (requires
-        ``keep_correlations=True``)."""
-        if self.correlations is None:
-            raise ValueError("curve was built without keep_correlations=True")
-        return CpaResult(
-            correlations=self.correlations[index],
-            guesses=self.guesses,
-            n_traces=int(self.budgets[index]),
-        )
-
 
 def cpa_attack_curve(
     traces: np.ndarray,
-    model_fn: Callable[[int], np.ndarray] | np.ndarray,
+    models: np.ndarray,
     budgets: Sequence[int],
     guesses: Sequence[int] = tuple(range(256)),
-    keep_correlations: bool = False,
     dtype=np.float64,
 ) -> CpaCurve:
     """Run a CPA at every prefix budget in one pass over the traces.
@@ -186,23 +177,11 @@ def cpa_attack_curve(
     the high-throughput mode for resampled success curves, where peak
     correlations stay accurate to ~1e-4 (globally centered data keeps
     the raw-moment cancellation harmless even in float32).
-    ``keep_correlations=True`` delegates to
-    :func:`repro.sca.stats.prefix_pearson_corr` (always float64, the
-    exactness path) and retains every per-budget matrix.
     """
     dtype = np.dtype(dtype)
     guess_array = np.asarray(list(guesses))
     budget_array = normalize_budgets(budgets, traces.shape[0])
-    models = _models_matrix(model_fn, guess_array, traces.shape[0])
-    if keep_correlations:
-        kept = prefix_pearson_corr(models, np.asarray(traces), budget_array)
-        return CpaCurve(
-            budgets=budget_array,
-            guesses=guess_array,
-            peak_per_guess=np.max(np.abs(kept), axis=2),
-            n_samples=kept.shape[2],
-            correlations=kept,
-        )
+    models = _models_matrix(models, guess_array, traces.shape[0])
     x = (models - models[: budget_array[-1]].mean(axis=0, keepdims=True)).astype(
         dtype, copy=False
     )
@@ -249,29 +228,6 @@ def cpa_attack_curve(
         peak_per_guess=peaks,
         n_samples=n_samples,
     )
-
-
-def cpa_attack_streaming(
-    chunks: Iterable[tuple[np.ndarray, Callable[[int], np.ndarray]]],
-    guesses: Sequence[int] = tuple(range(256)),
-) -> CpaResult:
-    """Run a CPA over a stream of trace chunks in bounded memory.
-
-    ``chunks`` yields ``(traces_chunk, model_fn)`` pairs where
-    ``model_fn(guess)`` returns the ``[chunk_traces]`` model for that
-    chunk (closing over the chunk's plaintexts).  The folded result is
-    numerically matched to :func:`cpa_attack` over the concatenated
-    matrix — identical ``best_guess`` and correlations within 1e-10 for
-    any chunking, including chunk size 1.
-    """
-    from repro.campaigns.accumulators import CpaAccumulator
-
-    accumulator = CpaAccumulator(guesses)
-    for traces, model_fn in chunks:
-        accumulator.update(traces, model_fn)
-    if accumulator.n_traces == 0:
-        raise ValueError("streaming CPA received no chunks")
-    return accumulator.result()
 
 
 def cpa_timecourse(traces: np.ndarray, model: np.ndarray) -> np.ndarray:

@@ -9,11 +9,16 @@ Two families:
   onto the LSU store-path byte-lane buffer this repository models as
   ``align_store``.
 
-Figure 3's model depends on a trace only through one plaintext byte, so
-it is also offered as a :class:`ClassModel` — per-trace class labels
-plus a ``[guess, class]`` table — which lets a streamed CPA fold
-per-class trace sums instead of per-guess co-moments (see
-:class:`repro.campaigns.accumulators.CpaAccumulator`).
+An attack takes a model in one of two forms: a ``[n_traces,
+n_guesses]`` float64 matrix (column ``g`` is the model under guess
+``g``), or a :class:`ClassModel`.  Figure 3's model depends on a trace
+only through one plaintext byte, so it is also offered as a
+:class:`ClassModel` — per-trace class labels plus a ``[guess, class]``
+table — which lets a streamed CPA fold per-class trace sums instead of
+per-guess co-moments (see
+:class:`repro.campaigns.accumulators.CpaAccumulator`).  The per-guess
+functions (:func:`hw_sbox_model`, :func:`hd_consecutive_stores_model`)
+are the one-column references the matrix builders are checked against.
 """
 
 from __future__ import annotations
@@ -32,17 +37,13 @@ class ClassModel:
     """A leakage model that sees each trace only through a class label.
 
     ``labels`` holds one class in ``[0, C)`` per trace and ``table`` is
-    ``[n_guesses, C]``; ``model(guess)`` is ``table[guess][labels]`` as
-    float64, so a ``ClassModel`` is a drop-in ``model_fn`` anywhere a
-    per-guess callable is accepted.  Slicing selects traces:
-    ``model[lo:hi]`` is the model of that trace range.
+    ``[n_guesses, C]``: the model of trace ``i`` under guess ``g`` is
+    ``table[g, labels[i]]``.  Slicing selects traces: ``model[lo:hi]``
+    is the model of that trace range.
     """
 
     labels: np.ndarray
     table: np.ndarray
-
-    def __call__(self, guess: int) -> np.ndarray:
-        return self.table[guess][self.labels].astype(np.float64)
 
     def __getitem__(self, rows) -> "ClassModel":
         return ClassModel(self.labels[rows], self.table)
@@ -68,13 +69,39 @@ def _state_byte(plaintexts: np.ndarray, byte_index: int | None) -> np.ndarray:
 
 def hw_sbox_class_model(plaintexts: np.ndarray, byte_index: int | None) -> ClassModel:
     """Figure 3's model as a :class:`ClassModel` over the plaintext byte;
-    ``model(g)`` is bit-equal to ``hw_sbox_model(plaintexts, byte_index, g)``."""
+    ``table[g][labels]`` is bit-equal to ``hw_sbox_model(plaintexts, byte_index, g)``."""
     return ClassModel(_state_byte(plaintexts, byte_index), hw_sbox_table())
 
 
 def hw_sbox_matrix(plaintexts: np.ndarray, byte_index: int | None) -> np.ndarray:
     """``[n_traces, 256]`` float64: column ``g`` is ``hw_sbox_model(..., g)``."""
     return hw_sbox_table().T[_state_byte(plaintexts, byte_index)].astype(np.float64)
+
+
+@functools.cache
+def _sbox_xor_table() -> np.ndarray:
+    """The shared read-only ``uint8[256 bytes, 256 guesses]`` table of
+    ``SBOX[byte ^ guess]``."""
+    values = np.arange(256, dtype=np.uint8)
+    table = np.stack(
+        [sub_bytes_out_round1(values, guess) for guess in range(256)], axis=1
+    )
+    table.setflags(write=False)
+    return table
+
+
+def hd_stores_matrix(
+    plaintexts: np.ndarray, byte_index: int, known_key_byte: int
+) -> np.ndarray:
+    """Figure 4's chained model as one ``[n_traces, 256]`` float64 gather.
+
+    Byte ``byte_index`` is known; column ``g`` is
+    ``hd_consecutive_stores_model(plaintexts, byte_index, (known_key_byte, g))``.
+    """
+    pt = np.asarray(plaintexts, dtype=np.uint8)
+    known = sub_bytes_out_round1(pt, known_key_byte, byte_index)
+    guessed = _sbox_xor_table()[pt[:, byte_index + 1]]
+    return np.bitwise_count(guessed ^ known[:, None]).astype(np.float64)
 
 
 def hw_sbox_model(plaintexts: np.ndarray, byte_index: int, key_guess: int) -> np.ndarray:

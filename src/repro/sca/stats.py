@@ -5,11 +5,6 @@ paper's side-channel distinguisher (citing Bruneau et al. for its
 optimality under Gaussian noise).  Significance testing uses the Fisher
 z-transform: ``atanh(r)`` is approximately normal with standard error
 ``1/sqrt(N-3)`` under the null of zero correlation.
-
-:func:`prefix_pearson_corr` is the prefix-incremental form: one pass
-over the trace matrix yields the correlation at *every* requested trace
-budget from cumulative cross-moments, replacing recompute-from-scratch
-loops in success-curve-style evaluations.
 """
 
 from __future__ import annotations
@@ -30,63 +25,6 @@ def normalize_budgets(budgets, n_traces: int) -> np.ndarray:
     if np.any(np.diff(array) <= 0):
         raise ValueError("budgets must be strictly increasing")
     return array
-
-
-def _finish_corr(comoment, sum_x, sum_y, sq_x, sq_y, n: int) -> np.ndarray:
-    """Pearson correlation from cumulative (shifted) raw cross-moments,
-    with the same division/clipping discipline as :func:`pearson_corr`."""
-    cov = comoment - np.outer(sum_x, sum_y) / n
-    var_x = np.clip(sq_x - sum_x**2 / n, 0.0, None)
-    var_y = np.clip(sq_y - sum_y**2 / n, 0.0, None)
-    denominator = np.sqrt(np.outer(var_x, var_y))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / denominator
-    corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.clip(corr, -1.0, 1.0)
-
-
-def prefix_pearson_corr(models, traces, budgets) -> np.ndarray:
-    """Correlations at every prefix budget from one streaming pass.
-
-    ``models``: ``[n_traces]`` or ``[n_traces, n_models]``; ``traces``:
-    ``[n_traces, n_samples]``; ``budgets``: strictly increasing trace
-    counts.  Returns ``[n_budgets, n_models, n_samples]`` (or
-    ``[n_budgets, n_samples]`` for a single model) where entry ``b``
-    equals ``pearson_corr(models[:budgets[b]], traces[:budgets[b]])``
-    within ~1e-12.
-
-    Cross-moments accumulate segment by segment on globally centered
-    data (correlation is shift-invariant, so centering once costs
-    nothing and keeps the raw-moment cancellation harmless), and each
-    budget snapshot only pays the finishing division — the pass is
-    O(max(budgets)) instead of O(sum(budgets)).
-    """
-    single = models.ndim == 1
-    x = models.reshape(models.shape[0], -1).astype(np.float64)
-    y = np.asarray(traces, dtype=np.float64)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"trace count mismatch: {x.shape[0]} vs {y.shape[0]}")
-    budgets = normalize_budgets(budgets, x.shape[0])
-    x = x - x.mean(axis=0, keepdims=True)
-    y = y - y.mean(axis=0, keepdims=True)
-    n_models, n_samples = x.shape[1], y.shape[1]
-    sum_x = np.zeros(n_models)
-    sum_y = np.zeros(n_samples)
-    sq_x = np.zeros(n_models)
-    sq_y = np.zeros(n_samples)
-    comoment = np.zeros((n_models, n_samples))
-    out = np.empty((budgets.size, n_models, n_samples))
-    previous = 0
-    for i, budget in enumerate(budgets):
-        xs, ys = x[previous:budget], y[previous:budget]
-        sum_x += xs.sum(axis=0)
-        sum_y += ys.sum(axis=0)
-        sq_x += (xs * xs).sum(axis=0)
-        sq_y += (ys * ys).sum(axis=0)
-        comoment += xs.T @ ys
-        previous = int(budget)
-        out[i] = _finish_corr(comoment, sum_x, sum_y, sq_x, sq_y, previous)
-    return out[:, 0, :] if single else out
 
 
 def pearson_corr(models: np.ndarray, traces: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from repro.campaigns.accumulators import (
     OnlineTTestAccumulator,
     StatisticKindMismatch,
 )
-from repro.sca.models import ClassModel, hw_sbox_class_model, hw_sbox_model, hw_sbox_table
+from repro.sca.models import ClassModel, hw_sbox_class_model, hw_sbox_matrix, hw_sbox_table
 
 TOL = 1e-10
 
@@ -172,9 +172,9 @@ class TestRepartitioning:
         merged = CpaAccumulator(guesses)
         for lo, hi in _cuts_to_bounds(n, cuts):
             chunk_models = model_rows[lo:hi]
-            serial.update(traces[lo:hi], lambda g: chunk_models[:, g])
+            serial.update(traces[lo:hi], chunk_models)
             part = CpaAccumulator(guesses)
-            part.update(traces[lo:hi], lambda g: chunk_models[:, g])
+            part.update(traces[lo:hi], chunk_models)
             merged.merge(CpaAccumulator.from_state(part.state()))
         np.testing.assert_array_equal(
             merged.result().correlations, serial.result().correlations
@@ -284,7 +284,7 @@ class TestIdentity:
         traces = rng.normal(size=(16, 4))
         models = rng.normal(size=(16, 8))
         acc = CpaAccumulator(tuple(range(8)))
-        acc.update(traces, lambda g: models[:, g])
+        acc.update(traces, models)
         reference = acc.result().correlations.copy()
         acc.merge(CpaAccumulator(tuple(range(8))))
         np.testing.assert_array_equal(acc.result().correlations, reference)
@@ -306,9 +306,9 @@ class TestBudgetSnapshots:
         merged = CpaBudgetSnapshots(budgets, guesses)
         for lo, hi in _cuts_to_bounds(n, cuts):
             chunk_models = models[lo:hi]
-            serial.update(traces[lo:hi], lambda g: chunk_models[:, g])
+            serial.update(traces[lo:hi], chunk_models)
             part = CpaBudgetSnapshots(budgets, guesses, start=lo, defer=True)
-            part.update(traces[lo:hi], lambda g: chunk_models[:, g])
+            part.update(traces[lo:hi], chunk_models)
             merged.merge(CpaBudgetSnapshots.from_state(part.state()))
 
         assert len(serial.results) == len(merged.results) == len(budgets)
@@ -324,7 +324,7 @@ class TestBudgetSnapshots:
         rng = np.random.default_rng(0)
         part = CpaBudgetSnapshots((8,), tuple(range(4)), start=5, defer=True)
         models = rng.normal(size=(3, 4))
-        part.update(rng.normal(size=(3, 2)), lambda g: models[:, g])
+        part.update(rng.normal(size=(3, 2)), models)
         try:
             parent.merge(part)
         except ValueError as error:
@@ -451,7 +451,7 @@ class TestPartitionSums:
         plaintexts, traces = _grid_campaign(30, seed=9)
         partition = _fold_partition(plaintexts, traces, slice(None))
         comoment = CpaAccumulator()
-        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, None, g))
+        comoment.update(traces, hw_sbox_matrix(plaintexts, None))
         with pytest.raises(ValueError):
             partition.merge(comoment)
         with pytest.raises(ValueError):

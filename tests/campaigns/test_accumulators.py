@@ -206,16 +206,14 @@ class TestCpaAccumulator:
         traces = rng.normal(size=(n, n_samples))
         traces[:, 11] += 0.8 * signal
 
-        def model_for(rows):
-            pts = plaintexts[rows]
-            return lambda guess: np.bitwise_count((pts ^ guess).astype(np.uint8)).astype(
-                np.float64
-            )
+        models = np.bitwise_count(
+            (plaintexts[:, None] ^ np.arange(256)).astype(np.uint8)
+        ).astype(np.float64)
 
-        reference = cpa_attack(traces, model_for(slice(None)))
+        reference = cpa_attack(traces, models)
         acc = CpaAccumulator()
         for lo, hi in _chunks(n, chunk):
-            acc.update(traces[lo:hi], model_for(slice(lo, hi)))
+            acc.update(traces[lo:hi], models[lo:hi])
         streamed = acc.result()
         assert streamed.n_traces == reference.n_traces
         assert streamed.best_guess == reference.best_guess == secret
@@ -244,8 +242,7 @@ class TestPartitionCpa:
         plaintexts, _ = _sbox_campaign(300)
         model = hw_sbox_class_model(plaintexts, 5)
         for guess in range(256):
-            values = model(guess)
-            assert values.dtype == np.float64
+            values = model.table[guess][model.labels].astype(np.float64)
             np.testing.assert_array_equal(values, hw_sbox_model(plaintexts, 5, guess))
 
     def test_matrix_gather_is_byte_identical_to_the_stack(self):
@@ -269,7 +266,7 @@ class TestPartitionCpa:
         # offset 150 puts a DC level of 150 sigma under every sample.
         n = 600
         plaintexts, traces = _sbox_campaign(n, offset=offset)
-        reference = cpa_attack(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        reference = cpa_attack(traces, hw_sbox_matrix(plaintexts, 0))
         acc = CpaAccumulator()
         for lo, hi in _chunks(n, chunk):
             acc.update(traces[lo:hi], hw_sbox_class_model(plaintexts[lo:hi], 0))
@@ -287,7 +284,7 @@ class TestPartitionCpa:
         acc = CpaAccumulator(guesses)
         acc.update(traces, hw_sbox_class_model(plaintexts, 0))
         reference = cpa_attack(
-            traces, lambda g: hw_sbox_model(plaintexts, 0, g), guesses=guesses
+            traces, hw_sbox_matrix(plaintexts, 0)[:, list(guesses)], guesses=guesses
         )
         np.testing.assert_allclose(
             acc.result().correlations, reference.correlations, rtol=0, atol=1e-10
@@ -298,9 +295,9 @@ class TestPartitionCpa:
         partition = CpaAccumulator()
         partition.update(traces, hw_sbox_class_model(plaintexts, 0))
         with pytest.raises(ValueError):
-            partition.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+            partition.update(traces, hw_sbox_matrix(plaintexts, 0))
         comoment = CpaAccumulator()
-        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        comoment.update(traces, hw_sbox_matrix(plaintexts, 0))
         with pytest.raises(ValueError):
             comoment.update(traces, hw_sbox_class_model(plaintexts, 0))
 
@@ -339,7 +336,7 @@ class TestStateKinds:
         partition = CpaAccumulator()
         partition.update(traces, hw_sbox_class_model(plaintexts, 0))
         comoment = CpaAccumulator()
-        comoment.update(traces, lambda g: hw_sbox_model(plaintexts, 0, g))
+        comoment.update(traces, hw_sbox_matrix(plaintexts, 0))
         assert CpaAccumulator().state()["kind"] is None
         assert partition.state()["kind"] == PARTITION
         assert comoment.state()["kind"] == COMOMENT

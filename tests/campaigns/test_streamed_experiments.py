@@ -14,7 +14,7 @@ from repro.campaigns.accumulators import (
 )
 from repro.campaigns.checkpoint import CheckpointMismatch, CheckpointStore, Checkpointer
 from repro.campaigns.engine import StreamingCampaign
-from repro.campaigns.reduction import SboxCpaBudgetFold
+from repro.campaigns.reduction import ColumnCorrFold, SboxCpaBudgetFold
 from repro.crypto.aes_asm import LAYOUT, round1_only_program
 from repro.experiments.ablations import ablate_operand_swap
 from repro.experiments.figure3 import figure3_scope, run_figure3
@@ -23,7 +23,8 @@ from repro.power.acquisition import random_inputs
 from repro.power.profile import cortex_a7_profile
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
-from repro.sca.models import hw_sbox_class_model, hw_sbox_model
+from repro.sca.stats import pearson_corr
+from repro.sca.models import hw_sbox_class_model, hw_sbox_matrix
 
 #: Low-noise scope so reduced-trace streamed attacks stay decisive.
 _FAST_SCOPE = ScopeConfig(noise_sigma=20.0, n_averages=16, quantize_bits=8)
@@ -93,9 +94,7 @@ def _figure3_on_oracle(monkeypatch, **kwargs):
         traces = self.acquire(inputs).traces
         reduced = real_reduce(self, inputs, fold, **reduce_kwargs)
         plaintexts = inputs.mem_bytes[LAYOUT.state]
-        oracle = cpa_attack(
-            traces, lambda guess: hw_sbox_model(plaintexts, fold.byte_index, guess)
-        )
+        oracle = cpa_attack(traces, hw_sbox_matrix(plaintexts, fold.byte_index))
         reduced.value = SimpleNamespace(result=lambda: oracle)
         return reduced
 
@@ -243,6 +242,57 @@ class TestBudgetFoldReduction:
             assert ours.correlations.tobytes() == theirs.correlations.tobytes()
         # A co-moment (pre-partition) frozen state never thaws into it.
         comoment = CpaBudgetSnapshots(budgets)
-        comoment.update(np.ones((3, 2)) + np.eye(3, 2), lambda guess: np.arange(3.0) * guess)
+        comoment.update(np.ones((3, 2)) + np.eye(3, 2), np.outer(np.arange(3.0), np.arange(256)))
         with pytest.raises(StatisticKindMismatch):
             fold.thaw(fold.freeze(comoment))
+
+
+class TestColumnCorrFold:
+    """table2's, the ablations' and the baselines' one correlation fold."""
+
+    BUDGETS = (50, 140, 240)
+    COLUMNS = ((3, 40, 41, 100), (7,), ())
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        inputs = random_inputs(240, mem_blocks={LAYOUT.state: 16}, seed=4)
+        engine = StreamingCampaign(
+            round1_only_program(bytes(range(16))),
+            scope=figure3_scope("float32"),
+            entry="aes_round1",
+            seed=6,
+            chunk_size=70,
+        )
+        plaintexts = inputs.mem_bytes[LAYOUT.state]
+        values = np.bitwise_count(plaintexts[:, :3]).astype(np.float64)
+        traces = engine.acquire(inputs).traces  # float32: chunking-invariant
+        return engine, inputs, values, traces
+
+    def fold(self, values):
+        return ColumnCorrFold(columns=self.COLUMNS, values=values, budgets=self.BUDGETS)
+
+    def test_budget_snapshots_match_two_pass_prefixes(self, campaign):
+        engine, inputs, values, traces = campaign
+        corrs = engine.reduce(inputs, self.fold(values), backend="serial").value
+        assert sorted(corrs.snapshots) == list(self.BUDGETS)
+        for budget, snapshot in corrs.snapshots.items():
+            for m, columns in enumerate(self.COLUMNS):
+                if not columns:
+                    assert snapshot[m] is None
+                    continue
+                reference = pearson_corr(values[:budget, m], traces[:budget, list(columns)])
+                np.testing.assert_allclose(snapshot[m], reference, rtol=0, atol=1e-10)
+        assert corrs.peaks()[2] == 0.0
+        assert corrs.curve()[240] == pytest.approx(abs(corrs.peaks()[0]), abs=0)
+
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork backend")
+    def test_worker_fold_is_byte_equal_to_the_parent_fold(self, campaign):
+        engine, inputs, values, _traces = campaign
+        parent = engine.reduce(inputs, self.fold(values), backend="serial").value
+        worker = engine.reduce(
+            inputs, self.fold(values), backend="fork", jobs=2, reduce="worker"
+        ).value
+        assert worker.peaks() == parent.peaks()
+        for budget in self.BUDGETS:
+            for ours, theirs in zip(worker.snapshots[budget], parent.snapshots[budget]):
+                assert (ours is None and theirs is None) or ours.tobytes() == theirs.tobytes()

@@ -101,5 +101,5 @@ def test_accumulator_snapshots_are_non_destructive():
     assert snr.snapshot().snr.shape == (4,)
 
     cpa = CpaAccumulator(guesses=range(4))
-    cpa.update(rng.normal(size=(40, 5)), lambda g: rng.normal(size=40))
+    cpa.update(rng.normal(size=(40, 5)), rng.normal(size=(40, 4)))
     assert cpa.snapshot().n_traces == 40

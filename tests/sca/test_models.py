@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.campaigns.accumulators import CpaAccumulator, CpaBudgetSnapshots
 from repro.crypto.aes import sub_bytes_out_round1
 from repro.crypto.sbox import SBOX
+from repro.sca.cpa import cpa_attack, cpa_attack_curve
 from repro.sca.models import (
     hd_consecutive_stores_model,
+    hd_stores_matrix,
     hd_value_model,
+    hw_sbox_matrix,
     hw_sbox_model,
     hw_value_model,
 )
@@ -69,3 +75,69 @@ class TestGenericModels:
     def test_hd_value_model(self):
         values = hd_value_model(np.array([0xF0]), np.array([0x0F]))
         assert list(values) == [8]
+
+
+class TestModelMatrices:
+    """The one-gather builders equal the per-guess reference stack, byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_traces=st.integers(min_value=1, max_value=120),
+        byte_index=st.integers(min_value=0, max_value=14),
+        known=st.integers(min_value=0, max_value=255),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_hd_stores_matrix_is_the_reference_stack(self, n_traces, byte_index, known, seed):
+        pts = np.random.default_rng(seed).integers(0, 256, size=(n_traces, 16), dtype=np.uint8)
+        stacked = np.stack(
+            [hd_consecutive_stores_model(pts, byte_index, (known, g)) for g in range(256)],
+            axis=1,
+        )
+        gathered = hd_stores_matrix(pts, byte_index, known)
+        assert gathered.dtype == stacked.dtype and gathered.shape == stacked.shape
+        assert gathered.tobytes() == stacked.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_traces=st.integers(min_value=1, max_value=120),
+        byte_index=st.integers(min_value=0, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_hw_sbox_matrix_is_the_reference_stack(self, n_traces, byte_index, seed):
+        pts = np.random.default_rng(seed).integers(0, 256, size=(n_traces, 16), dtype=np.uint8)
+        stacked = np.stack(
+            [hw_sbox_model(pts, byte_index, g) for g in range(256)], axis=1
+        )
+        gathered = hw_sbox_matrix(pts, byte_index)
+        assert gathered.dtype == stacked.dtype and gathered.shape == stacked.shape
+        assert gathered.tobytes() == stacked.tobytes()
+
+
+class TestCallableModelsRejected:
+    """A model is a matrix or a ClassModel; a per-guess callable is a TypeError."""
+
+    @pytest.fixture
+    def campaign(self):
+        rng = np.random.default_rng(4)
+        pts = rng.integers(0, 256, size=(40, 16), dtype=np.uint8)
+        return pts, rng.normal(size=(40, 3))
+
+    def test_cpa_attack(self, campaign):
+        pts, traces = campaign
+        with pytest.raises(TypeError):
+            cpa_attack(traces, lambda g: hw_sbox_model(pts, 0, g))
+
+    def test_cpa_attack_curve(self, campaign):
+        pts, traces = campaign
+        with pytest.raises(TypeError):
+            cpa_attack_curve(traces, lambda g: hw_sbox_model(pts, 0, g), [20, 40])
+
+    def test_cpa_accumulator_update(self, campaign):
+        pts, traces = campaign
+        with pytest.raises(TypeError):
+            CpaAccumulator().update(traces, lambda g: hw_sbox_model(pts, 0, g))
+
+    def test_budget_snapshots_update(self, campaign):
+        pts, traces = campaign
+        with pytest.raises(TypeError):
+            CpaBudgetSnapshots([20, 40]).update(traces, lambda g: hw_sbox_model(pts, 0, g))

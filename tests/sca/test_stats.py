@@ -121,67 +121,16 @@ class TestDifferenceConfidence:
         assert high > low
 
 
-class TestPrefixPearson:
-    def test_matches_recompute_at_every_budget(self):
-        from repro.sca.stats import prefix_pearson_corr
-
-        rng = np.random.default_rng(10)
-        models = rng.normal(3.0, 1.0, size=(400, 12))
-        traces = rng.normal(40.0, 6.0, size=(400, 30)) + 0.4 * models[:, :1]
-        budgets = [2, 5, 33, 150, 400]
-        prefixes = prefix_pearson_corr(models, traces, budgets)
-        assert prefixes.shape == (5, 12, 30)
-        for i, budget in enumerate(budgets):
-            np.testing.assert_allclose(
-                prefixes[i], pearson_corr(models[:budget], traces[:budget]), atol=1e-10
-            )
-
-    def test_single_model_shape(self):
-        from repro.sca.stats import prefix_pearson_corr
-
-        rng = np.random.default_rng(11)
-        model = rng.normal(size=100)
-        traces = rng.normal(size=(100, 9))
-        prefixes = prefix_pearson_corr(model, traces, [10, 100])
-        assert prefixes.shape == (2, 9)
-        np.testing.assert_allclose(
-            prefixes[1], pearson_corr(model, traces), atol=1e-10
-        )
-
+class TestNormalizeBudgets:
     def test_budget_validation(self):
-        from repro.sca.stats import prefix_pearson_corr
+        from repro.sca.stats import normalize_budgets
 
-        data = np.random.default_rng(0).normal(size=(20, 3))
-        model = data[:, 0]
         with pytest.raises(ValueError):
-            prefix_pearson_corr(model, data, [])
+            normalize_budgets([], 20)
         with pytest.raises(ValueError):
-            prefix_pearson_corr(model, data, [5, 5])
+            normalize_budgets([5, 5], 20)
         with pytest.raises(ValueError):
-            prefix_pearson_corr(model, data, [10, 30])
+            normalize_budgets([10, 30], 20)
         with pytest.raises(ValueError):
-            prefix_pearson_corr(model, data, [0, 10])
-
-    @given(
-        n_traces=st.integers(min_value=6, max_value=60),
-        n_models=st.integers(min_value=1, max_value=5),
-        n_samples=st.integers(min_value=1, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_property_prefixes_match_recompute(self, n_traces, n_models, n_samples, seed):
-        from repro.sca.stats import prefix_pearson_corr
-
-        rng = np.random.default_rng(seed)
-        models = rng.normal(5.0, 2.0, size=(n_traces, n_models))
-        traces = rng.normal(-3.0, 4.0, size=(n_traces, n_samples))
-        budgets = sorted(
-            set(rng.integers(1, n_traces + 1, size=3).tolist()) | {n_traces}
-        )
-        prefixes = prefix_pearson_corr(models, traces, budgets)
-        for i, budget in enumerate(budgets):
-            np.testing.assert_allclose(
-                prefixes[i],
-                pearson_corr(models[:budget], traces[:budget]),
-                atol=1e-10,
-            )
+            normalize_budgets([0, 10], 20)
+        assert normalize_budgets([5, 20], 20).tolist() == [5, 20]

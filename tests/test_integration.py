@@ -8,7 +8,7 @@ from repro.isa.executor import run_program
 from repro.power.acquisition import TraceCampaign, random_inputs
 from repro.power.scope import ScopeConfig
 from repro.sca.cpa import cpa_attack
-from repro.sca.models import hw_sbox_model
+from repro.sca.models import hw_sbox_matrix
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -27,10 +27,7 @@ class TestFullAttackPipeline:
         trace_set = campaign.acquire(inputs)
         plaintexts = inputs.mem_bytes[LAYOUT.state]
         for byte_index in (0, 5, 15):
-            result = cpa_attack(
-                trace_set.traces,
-                lambda g: hw_sbox_model(plaintexts, byte_index, g),
-            )
+            result = cpa_attack(trace_set.traces, hw_sbox_matrix(plaintexts, byte_index))
             assert result.best_guess == KEY[byte_index], f"byte {byte_index}"
 
     def test_functional_and_leakage_paths_agree(self):
