@@ -174,7 +174,7 @@ class SboxCpaFold(ChunkFold):
         plaintexts = _chunk_plaintexts(trace_set, self.state_block)
         traces = trace_set.traces
         if self.columns is not None:
-            traces = traces[:, np.asarray(self.columns, dtype=np.intp)]
+            traces = traces[:, list(self.columns)]
         if self.known_key_byte is None:
             return traces, hw_sbox_class_model(plaintexts, self.byte_index)
         return traces, hd_stores_matrix(plaintexts, self.byte_index, self.known_key_byte)

@@ -69,7 +69,7 @@ def _state_byte(plaintexts: np.ndarray, byte_index: int | None) -> np.ndarray:
 
 def hw_sbox_class_model(plaintexts: np.ndarray, byte_index: int | None) -> ClassModel:
     """Figure 3's model as a :class:`ClassModel` over the plaintext byte;
-    ``table[g][labels]`` is bit-equal to ``hw_sbox_model(plaintexts, byte_index, g)``."""
+    ``table[g][labels]`` equals ``hw_sbox_model(plaintexts, byte_index, g)``."""
     return ClassModel(_state_byte(plaintexts, byte_index), hw_sbox_table())
 
 
