@@ -43,6 +43,9 @@ RECIPES = [
     ["ablations", "--traces", "600", "--chunk-size", "200"],
     ["baselines", "--traces", "600"],
     ["baselines", "--traces", "600", "--chunk-size", "200"],
+    ["corpus", "run", "manifests/smoke.yaml", "--no-store"],
+    ["sweep", "--grid", "dual_issue=true,false", "--traces", "200"],
+    ["sweep", "--grid", "noise-floor"],
 ]
 
 
