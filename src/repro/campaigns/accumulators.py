@@ -67,6 +67,14 @@ if TYPE_CHECKING:
     from repro.sca.models import ClassModel
 
 
+def _array(value, copy: bool, dtype=None) -> np.ndarray | None:
+    """``value`` as an array, copied unless ``copy=False`` (``None`` stays)."""
+    if value is None:
+        return None
+    value = np.asarray(value, dtype=dtype)
+    return value.copy() if copy else value
+
+
 class OnlineMeanVar:
     """Running mean/variance over axis 0, one scalar pair per column.
 
@@ -91,11 +99,15 @@ class OnlineMeanVar:
         chunk_m2 = ((chunk - chunk_mean) ** 2).sum(axis=0)
         self._combine(k, chunk_mean, chunk_m2)
 
-    def merge(self, other: "OnlineMeanVar") -> None:
-        """Fold another accumulator (e.g. from a worker process) in."""
+    def merge(self, other: "OnlineMeanVar", copy: bool = True) -> None:
+        """Fold another accumulator (e.g. from a worker process) in.
+
+        ``copy=False`` may take over ``other``'s arrays: for an ``other``
+        that is dropped right after.
+        """
         if other.n == 0 or other.mean is None or other._m2 is None:
             return
-        self._combine(other.n, other.mean.copy(), other._m2.copy())
+        self._combine(other.n, _array(other.mean, copy), _array(other._m2, copy))
 
     def _combine(self, k: int, mean: np.ndarray, m2: np.ndarray) -> None:
         if self.n == 0:
@@ -110,20 +122,23 @@ class OnlineMeanVar:
         self.mean += delta * (k / n_total)
         self.n = n_total
 
-    def state(self) -> dict:
-        """The sufficient statistics as a compact, picklable dict."""
+    def state(self, copy: bool = True) -> dict:
+        """The sufficient statistics as a compact, picklable dict
+        (``copy=False`` shares the arrays, for an accumulator that is
+        dropped right after)."""
         return {
             "n": int(self.n),
-            "mean": None if self.mean is None else self.mean.copy(),
-            "m2": None if self._m2 is None else self._m2.copy(),
+            "mean": _array(self.mean, copy),
+            "m2": _array(self._m2, copy),
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "OnlineMeanVar":
+    def from_state(cls, state: dict, copy: bool = True) -> "OnlineMeanVar":
+        """Rebuild from :meth:`state` (``copy=False`` adopts its arrays)."""
         acc = cls()
         acc.n = int(state["n"])
-        acc.mean = None if state["mean"] is None else np.asarray(state["mean"], dtype=np.float64).copy()
-        acc._m2 = None if state["m2"] is None else np.asarray(state["m2"], dtype=np.float64).copy()
+        acc.mean = _array(state["mean"], copy, np.float64)
+        acc._m2 = _array(state["m2"], copy, np.float64)
         return acc
 
     def clone(self) -> "OnlineMeanVar":
@@ -168,7 +183,8 @@ class OnlineCorrAccumulator:
         models = np.asarray(models)
         if self._single is None:
             self._single = models.ndim == 1
-        x = models.reshape(models.shape[0], -1).astype(np.float64)
+        # C order fixes the summation order of the column means below.
+        x = models.reshape(models.shape[0], -1).astype(np.float64, order="C")
         y = np.asarray(traces, dtype=np.float64)
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"trace count mismatch: {x.shape[0]} vs {y.shape[0]}")
@@ -204,18 +220,19 @@ class OnlineCorrAccumulator:
         self._mean_y += delta_y * (k / n_total)
         self.n = n_total
 
-    def merge(self, other: "OnlineCorrAccumulator") -> None:
-        """Fold a sibling accumulator (parallel worker) into this one."""
+    def merge(self, other: "OnlineCorrAccumulator", copy: bool = True) -> None:
+        """Fold a sibling accumulator (parallel worker) into this one.
+
+        ``copy=False`` may take over ``other``'s arrays: for an ``other``
+        that is dropped right after.
+        """
         if other.n == 0:
             return
         if self.n == 0:
             self.n = other.n
             self._single = other._single
-            self._mean_x = other._mean_x.copy()  # type: ignore[union-attr]
-            self._mean_y = other._mean_y.copy()  # type: ignore[union-attr]
-            self._m2_x = other._m2_x.copy()  # type: ignore[union-attr]
-            self._m2_y = other._m2_y.copy()  # type: ignore[union-attr]
-            self._comoment = other._comoment.copy()  # type: ignore[union-attr]
+            for key in self._STATE_ARRAYS:
+                setattr(self, f"_{key}", _array(getattr(other, f"_{key}"), copy))
             return
         assert other._mean_x is not None and other._mean_y is not None
         assert other._m2_x is not None and other._m2_y is not None
@@ -233,26 +250,23 @@ class OnlineCorrAccumulator:
 
     _STATE_ARRAYS = ("mean_x", "mean_y", "m2_x", "m2_y", "comoment")
 
-    def state(self) -> dict:
-        """The sufficient statistics as a compact, picklable dict."""
+    def state(self, copy: bool = True) -> dict:
+        """The sufficient statistics as a compact, picklable dict
+        (``copy=False`` shares the arrays, for an accumulator that is
+        dropped right after)."""
         record: dict = {"n": int(self.n), "single": self._single}
         for key in self._STATE_ARRAYS:
-            value = getattr(self, f"_{key}")
-            record[key] = None if value is None else value.copy()
+            record[key] = _array(getattr(self, f"_{key}"), copy)
         return record
 
     @classmethod
-    def from_state(cls, state: dict) -> "OnlineCorrAccumulator":
+    def from_state(cls, state: dict, copy: bool = True) -> "OnlineCorrAccumulator":
+        """Rebuild from :meth:`state` (``copy=False`` adopts its arrays)."""
         acc = cls()
         acc.n = int(state["n"])
         acc._single = state["single"]
         for key in cls._STATE_ARRAYS:
-            value = state[key]
-            setattr(
-                acc,
-                f"_{key}",
-                None if value is None else np.asarray(value, dtype=np.float64).copy(),
-            )
+            setattr(acc, f"_{key}", _array(state[key], copy, np.float64))
         return acc
 
     def clone(self) -> "OnlineCorrAccumulator":
@@ -476,12 +490,12 @@ class PartitionSums:
         self.sum_y += other.sum_y
         self.sum_y2 += other.sum_y2
 
-    def state(self) -> dict:
-        return {key: value.copy() for key, value in vars(self).items()}
+    def state(self, copy: bool = True) -> dict:
+        return {key: _array(value, copy) for key, value in vars(self).items()}
 
     @classmethod
-    def from_state(cls, state: dict) -> "PartitionSums":
-        return cls(**{key: np.array(value) for key, value in state.items()})
+    def from_state(cls, state: dict, copy: bool = True) -> "PartitionSums":
+        return cls(**{key: _array(value, copy) for key, value in state.items()})
 
     def correlations(self, guesses: np.ndarray) -> np.ndarray:
         """``[n_guesses, n_samples]`` Pearson correlations.
@@ -599,33 +613,38 @@ class CpaAccumulator:
             )
         return self
 
-    def merge(self, other: "CpaAccumulator") -> None:
+    def merge(self, other: "CpaAccumulator", copy: bool = True) -> None:
+        """Fold a sibling accumulator in.  ``copy=False`` may take over
+        ``other``'s arrays: for an ``other`` that is dropped right after."""
         if not np.array_equal(self.guesses, other.guesses):
             raise ValueError("cannot merge CPA accumulators over different guesses")
         stats = other._stats
         if stats is None:
             return
-        if self._stats is None:
-            stats = type(stats).from_state(stats.state())  # never alias other
+        if self._stats is None and copy:
+            stats = type(stats).from_state(stats.state(copy=False))  # never alias other
         self._absorb(stats)
 
-    def state(self) -> dict:
-        """The sufficient statistics as a compact, picklable dict."""
-        record: dict = {"guesses": self.guesses.copy(), "kind": self.kind}
+    def state(self, copy: bool = True) -> dict:
+        """The sufficient statistics as a compact, picklable dict
+        (``copy=False`` shares the arrays, for an accumulator that is
+        dropped right after)."""
+        record: dict = {"guesses": _array(self.guesses, copy), "kind": self.kind}
         if self._stats is not None:
-            record["stats"] = self._stats.state()
+            record["stats"] = self._stats.state(copy)
         return record
 
     @classmethod
-    def from_state(cls, state: dict) -> "CpaAccumulator":
+    def from_state(cls, state: dict, copy: bool = True) -> "CpaAccumulator":
+        """Rebuild from :meth:`state` (``copy=False`` adopts its arrays)."""
         acc = cls(guesses=np.asarray(state["guesses"]))
         if "kind" not in state:
             # Written before the partition kind: co-moments under "corr".
-            acc._stats = OnlineCorrAccumulator.from_state(state["corr"])
+            acc._stats = OnlineCorrAccumulator.from_state(state["corr"], copy)
         elif state["kind"] == PARTITION:
-            acc._stats = PartitionSums.from_state(state["stats"])
+            acc._stats = PartitionSums.from_state(state["stats"], copy)
         elif state["kind"] == COMOMENT:
-            acc._stats = OnlineCorrAccumulator.from_state(state["stats"])
+            acc._stats = OnlineCorrAccumulator.from_state(state["stats"], copy)
         elif state["kind"] is not None:
             raise ValueError(f"unknown CPA statistic kind {state['kind']!r}")
         return acc
@@ -750,13 +769,15 @@ class CpaBudgetSnapshots:
                 if budget is not None:
                     self.results.append(self._accumulator.result())
 
-    def merge(self, other: "CpaBudgetSnapshots") -> None:
+    def merge(self, other: "CpaBudgetSnapshots", copy: bool = True) -> None:
         """Fold a *deferred* sibling in, in stream order.
 
         ``other`` must start exactly where this instance ends so the
         budget boundaries stay chunk-aligned; the parts replay the same
         per-sub-range combines the serial fold runs, keeping the merged
-        snapshots byte-identical to serial streaming.
+        snapshots byte-identical to serial streaming.  ``copy=False``
+        may take over ``other``'s arrays: for an ``other`` that is
+        dropped right after.
         """
         if not other._defer:
             raise ValueError("can only merge deferred (worker-side) snapshot parts")
@@ -773,34 +794,37 @@ class CpaBudgetSnapshots:
             self._parts.extend(other._parts)
         else:
             for budget, part in other._parts:
-                self._accumulator.merge(part)
+                self._accumulator.merge(part, copy)
                 if budget is not None:
                     self.results.append(self._accumulator.result())
         self._splitter._base = other._splitter._base
         self._splitter._reached = other._splitter._reached
 
-    def state(self) -> dict:
-        """The sufficient statistics as a compact, picklable dict."""
+    def state(self, copy: bool = True) -> dict:
+        """The sufficient statistics as a compact, picklable dict
+        (``copy=False`` shares the arrays, for an accumulator that is
+        dropped right after)."""
         record: dict = {
-            "budgets": self.budgets.copy(),
-            "guesses": self.guesses.copy(),
+            "budgets": _array(self.budgets, copy),
+            "guesses": _array(self.guesses, copy),
             "start": self.start,
             "end": self.end,
             "defer": self._defer,
         }
         if self._defer:
             record["parts"] = [
-                (budget, part.state()) for budget, part in self._parts
+                (budget, part.state(copy)) for budget, part in self._parts
             ]
         else:
-            record["accumulator"] = self._accumulator.state()
+            record["accumulator"] = self._accumulator.state(copy)
             record["results"] = [
-                (snap.correlations.copy(), snap.n_traces) for snap in self.results
+                (_array(snap.correlations, copy), snap.n_traces) for snap in self.results
             ]
         return record
 
     @classmethod
-    def from_state(cls, state: dict) -> "CpaBudgetSnapshots":
+    def from_state(cls, state: dict, copy: bool = True) -> "CpaBudgetSnapshots":
+        """Rebuild from :meth:`state` (``copy=False`` adopts its arrays)."""
         from repro.sca.cpa import CpaResult
 
         acc = cls(
@@ -815,14 +839,14 @@ class CpaBudgetSnapshots:
         )
         if acc._defer:
             acc._parts = [
-                (None if budget is None else int(budget), CpaAccumulator.from_state(sub))
+                (None if budget is None else int(budget), CpaAccumulator.from_state(sub, copy))
                 for budget, sub in state["parts"]
             ]
         else:
-            acc._accumulator = CpaAccumulator.from_state(state["accumulator"])
+            acc._accumulator = CpaAccumulator.from_state(state["accumulator"], copy)
             acc.results = [
                 CpaResult(
-                    correlations=np.asarray(correlations).copy(),
+                    correlations=_array(correlations, copy),
                     guesses=acc.guesses,
                     n_traces=int(n_traces),
                 )

@@ -74,9 +74,11 @@ from repro.uarch.config import PipelineConfig
 #: Process-wide compiled-schedule cache, least recently used first.  It
 #: is keyed on what the compile reads (see
 #: :meth:`StreamingCampaign._cache_key`): the program's content, not the
-#: object, because every driver run assembles a fresh ``Program`` — so
-#: back-to-back campaigns on one program compile once.  Entries hold
-#: their program, so the fixed bound is what caps the memory they keep.
+#: object, because sources that differ only in comments assemble to
+#: equal programs and a program evicted from the assembler's memo comes
+#: back as a new object — so campaigns on one program compile once.
+#: Entries hold their program, so the fixed bound is what caps the
+#: memory they keep.
 #: A compiled entry reuses scratch buffers across runs (the tape's page
 #: pool, packed-plan buffers), so campaigns run in parallel through
 #: processes, never through threads of one process.
@@ -213,7 +215,7 @@ class StreamingCampaign:
         programs included — share one compilation.
         """
         global _schedule_compiles
-        if not self._campaign._schedule_input_independent():
+        if not self._campaign.program.schedule_input_independent:
             # Conditionally-executed non-branch instructions make the
             # schedule depend on input values, not just shape: compile
             # against exactly this batch and skip the shared cache.

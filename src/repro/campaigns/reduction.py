@@ -81,7 +81,12 @@ class ChunkFold(abc.ABC):
 
     @abc.abstractmethod
     def merge_state(self, accumulator: Any, task: ChunkTask, state: Any) -> Any:
-        """Parent-side: merge one chunk's state, in chunk order."""
+        """Parent-side: merge one chunk's state, in chunk order.
+
+        The engine drops ``state`` after the merge (it is fresh from
+        :meth:`fold_chunk` or unpickled from a worker), so the
+        accumulator may take its arrays over instead of copying them.
+        """
 
     def freeze(self, accumulator: Any) -> Any:
         """The accumulator as a checkpointable state (default: itself)."""
@@ -128,10 +133,10 @@ class TraceMeanVarFold(ChunkFold):
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
         part = OnlineMeanVar()
         part.update(trace_set.traces)
-        return part.state()
+        return part.state(copy=False)
 
     def merge_state(self, accumulator, task, state):
-        accumulator.merge(OnlineMeanVar.from_state(state))
+        accumulator.merge(OnlineMeanVar.from_state(state, copy=False), copy=False)
         return accumulator
 
     def freeze(self, accumulator):
@@ -189,10 +194,10 @@ class SboxCpaFold(ChunkFold):
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> dict:
         part = CpaAccumulator(self.guesses)
         part.update(*self._chunk(trace_set))
-        return part.state()
+        return part.state(copy=False)
 
     def merge_state(self, accumulator, task, state):
-        accumulator.merge(CpaAccumulator.from_state(state))
+        accumulator.merge(CpaAccumulator.from_state(state, copy=False), copy=False)
         return accumulator
 
     def freeze(self, accumulator):
@@ -222,10 +227,10 @@ class SboxCpaBudgetFold(SboxCpaFold):
             self.budgets, self.guesses, start=task.lo, defer=True
         )
         part.update(*self._chunk(trace_set))
-        return part.state()
+        return part.state(copy=False)
 
     def merge_state(self, accumulator, task, state):
-        accumulator.merge(CpaBudgetSnapshots.from_state(state))
+        accumulator.merge(CpaBudgetSnapshots.from_state(state, copy=False), copy=False)
         return accumulator
 
     def thaw(self, frozen):

@@ -22,6 +22,7 @@ symbols, pass two resolves symbol references in immediates, data words and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 
@@ -74,8 +75,22 @@ class _PendingConstLoad:
     address: int
 
 
+#: Programs :func:`assemble` keeps, least recently used dropped first.
+_PROGRAM_CACHE_SIZE = 16
+
+
 def assemble(source: str, text_base: int = 0x8000) -> Program:
-    """Assemble ``source`` into a :class:`Program`."""
+    """Assemble ``source`` into a :class:`Program`.
+
+    Memoized per process on ``(source, text_base)``: the builders
+    regenerate the same source on every run, and a :class:`Program` is
+    frozen, so all of them can share the one object assembled first.
+    """
+    return _assemble(source, text_base)
+
+
+@functools.lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _assemble(source: str, text_base: int) -> Program:
     return _Assembler(source, text_base).run()
 
 
@@ -200,9 +215,10 @@ class _Assembler:
         ]
         for block_addr, expr, width, line_no in self._pending_words:
             value = self._resolve_expr(expr, line_no) & _mask(width)
-            for block in self.data_blocks:
+            for position, block in enumerate(self.data_blocks):
                 if block.address == block_addr and len(block.data) == width:
-                    block.data = value.to_bytes(width, "little")
+                    data = value.to_bytes(width, "little")
+                    self.data_blocks[position] = DataBlock(block_addr, data)
                     break
         program = Program(
             instructions,

@@ -1,23 +1,30 @@
 """The ``Program`` container produced by the assembler.
 
-A program is a linear list of instructions plus a symbol table and an
-initial data image.  Instructions are executed from the in-memory list (the
-simulator does not fetch encoded bytes), but every instruction carries the
-byte address it would occupy, so branch targets, literal pools and the
+A program is a linear sequence of instructions plus a symbol table and an
+initial data image.  Instructions are executed from the in-memory sequence
+(the simulator does not fetch encoded bytes), but every instruction carries
+the byte address it would occupy, so branch targets, literal pools and the
 address-generation leakage model all see realistic addresses.
+
+A program is immutable: its fields cannot be reassigned and its
+containers are tuples and a read-only label mapping, so the assembler's
+memo can hand one object to every caller.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Cond
 from repro.isa.registers import Reg
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataBlock:
     """A chunk of initialized memory emitted by data directives."""
 
@@ -29,22 +36,39 @@ class DataBlock:
         return self.address + len(self.data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """An assembled program: instructions, symbols and initial data."""
 
-    instructions: list[Instruction]
-    labels: dict[str, int] = field(default_factory=dict)
-    data_blocks: list[DataBlock] = field(default_factory=list)
+    instructions: tuple[Instruction, ...]
+    labels: Mapping[str, int] = field(default_factory=dict)
+    data_blocks: tuple[DataBlock, ...] = ()
     text_base: int = 0x8000
     source: str = ""
 
     def __post_init__(self) -> None:
-        # Both assume the program does not change after construction.
-        self._by_address = {instr.address: instr for instr in self.instructions}
-        self._content_key = hashlib.sha256(
-            pickle.dumps(self._content(), protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
+        # Freeze the containers; the derived fields below rely on it.
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        object.__setattr__(self, "data_blocks", tuple(self.data_blocks))
+        derived = {
+            "_by_address": {instr.address: instr for instr in self.instructions},
+            "_content_key": hashlib.sha256(
+                pickle.dumps(self._content(), protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest(),
+            "_input_independent": all(
+                instr.cond is Cond.AL or instr.is_branch for instr in self.instructions
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    # A mapping proxy does not pickle: carry the labels as a plain dict.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "labels": dict(self.labels)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, labels=MappingProxyType(state["labels"]))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -82,6 +106,18 @@ class Program:
         objects, so different programs never share a key.
         """
         return self._content_key
+
+    @property
+    def schedule_input_independent(self) -> bool:
+        """Is a compiled schedule valid for any same-shape input batch?
+
+        Only when every conditional instruction is a branch.  A
+        conditionally-executed *non-branch* instruction appears in the
+        dynamic path whichever way its condition goes, so the path
+        cannot tell such batches apart: these programs compile against
+        every batch instead of sharing one compile.
+        """
+        return self._input_independent
 
     def _content(self) -> tuple:
         """The canonical content :meth:`content_key` digests.

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,9 @@ class BackgroundWorkload:
         rho = self.correlation
         innovation_sigma = self.amplitude * np.sqrt(max(1.0 - rho * rho, 1e-9))
         noise = rng.normal(0.0, innovation_sigma, size=(n_traces, n_samples))
-        out = np.empty_like(noise)
-        out[:, 0] = rng.normal(0.0, self.amplitude, size=n_traces)
-        for s in range(1, n_samples):
-            out[:, s] = rho * out[:, s - 1] + noise[:, s]
-        return out + self.mean_power
+        noise[:, 0] = rng.normal(0.0, self.amplitude, size=n_traces)
+        # out[:, s] = rho * out[:, s - 1] + noise[:, s], with out[:, 0] = noise[:, 0]
+        return lfilter([1.0], [1.0, -rho], noise, axis=1) + self.mean_power
 
 
 def apache_full_load() -> BackgroundWorkload:

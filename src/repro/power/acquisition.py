@@ -284,22 +284,6 @@ class TraceCampaign:
 
     # ------------------------------------------------------------------
 
-    def _schedule_input_independent(self) -> bool:
-        """Is the compiled schedule valid for any same-shape batch?
-
-        Only when every conditional instruction is a branch.  A
-        conditionally-executed *non-branch* instruction appears in the
-        dynamic path whichever way its condition goes, so the path
-        cannot tell such batches apart: these programs compile against
-        every batch instead of sharing one compile.
-        """
-        from repro.isa.opcodes import Cond
-
-        return all(
-            instr.cond is Cond.AL or instr.is_branch
-            for instr in self.program.instructions
-        )
-
     def _compile_key(self, inputs: BatchInputs) -> tuple:
         """What a compile depends on beyond the campaign's fixed program,
         config and scope: the input shape and the acquisition window."""
@@ -406,7 +390,7 @@ class TraceCampaign:
         acquisition.
         """
         dtype = np.float32 if self.precision == "float32" else np.float64
-        shareable = memoize and self._schedule_input_independent()
+        shareable = memoize and self.program.schedule_input_independent
         memo = active_device_memo() if shareable else None
         if memo is not None:
             key = (digest_inputs(inputs), self.profile.identity(), dtype)
@@ -484,7 +468,7 @@ class TraceCampaign:
         reused = (
             self._compiled is not None
             and self._compiled_key == self._compile_key(inputs)
-            and self._schedule_input_independent()
+            and self.program.schedule_input_independent
         )
         if reused:
             # Data-independent timing: the schedule depends only on the

@@ -20,6 +20,7 @@ from repro.campaigns.accumulators import (
 from repro.sca.cpa import cpa_attack
 from repro.sca.models import (
     ClassModel,
+    hd_stores_matrix,
     hw_sbox_class_model,
     hw_sbox_matrix,
     hw_sbox_model,
@@ -130,6 +131,23 @@ class TestOnlineCorr:
         right.update(models[100:], traces[100:])
         left.merge(right)
         np.testing.assert_allclose(left.correlations(), reference, atol=1e-10)
+
+    def test_model_memory_order_does_not_move_a_byte(self):
+        # Figure 4's chained-HD model, once C-ordered and once as an
+        # F-ordered copy (what a column gather such as
+        # ``matrix[:, guesses]`` returns).
+        rng = np.random.default_rng(4)
+        plaintexts = rng.integers(0, 256, size=(100, 16), dtype=np.uint8)
+        matrix = hd_stores_matrix(plaintexts, 0, 0x2B)
+        fortran = np.asfortranarray(matrix)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        traces = np.round(rng.normal(0.0, 40.0, size=(100, 64)))
+        results = []
+        for model in (matrix, fortran):
+            acc = OnlineCorrAccumulator()
+            acc.update(model, traces)
+            results.append(acc.correlations())
+        assert results[0].tobytes() == results[1].tobytes()
 
     def test_mismatched_rows_rejected(self, data):
         models, traces = data

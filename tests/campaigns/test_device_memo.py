@@ -187,7 +187,7 @@ def test_per_batch_schedules_never_hit(device_calls):
     inputs = random_inputs(16, reg_names=(Reg.R1, Reg.R2), seed=3)
     inputs.regs[Reg.R9] = np.full(16, 0x30000, dtype=np.uint32)
     campaign = TraceCampaign(assemble(src))
-    assert not campaign._schedule_input_independent()
+    assert not campaign.program.schedule_input_independent
     with device_memo() as memo:
         campaign.acquire(inputs)
         campaign.acquire(inputs)

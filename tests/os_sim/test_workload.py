@@ -40,3 +40,27 @@ class TestAr1Process:
 
     def test_presets_ordering(self):
         assert apache_full_load().amplitude > idle_desktop().amplitude
+
+
+def _loop_reference(workload, n_traces, n_samples, rng):
+    """The AR(1) recurrence as an explicit loop over samples, same draw order."""
+    rho = workload.correlation
+    innovation_sigma = workload.amplitude * np.sqrt(max(1.0 - rho * rho, 1e-9))
+    noise = rng.normal(0.0, innovation_sigma, size=(n_traces, n_samples))
+    out = np.empty_like(noise)
+    out[:, 0] = rng.normal(0.0, workload.amplitude, size=n_traces)
+    for s in range(1, n_samples):
+        out[:, s] = rho * out[:, s - 1] + noise[:, s]
+    return out + workload.mean_power
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [apache_full_load(), idle_desktop(), BackgroundWorkload(correlation=0.0)],
+    ids=["apache", "idle", "white"],
+)
+def test_filtered_sample_is_the_loop_byte_for_byte(workload):
+    got = workload.sample(100, 700, np.random.default_rng(11))
+    want = _loop_reference(workload, 100, 700, np.random.default_rng(11))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
