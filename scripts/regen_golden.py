@@ -46,6 +46,9 @@ RECIPES = [
     ["corpus", "run", "manifests/smoke.yaml", "--no-store"],
     ["sweep", "--grid", "dual_issue=true,false", "--traces", "200"],
     ["sweep", "--grid", "noise-floor"],
+    ["figure3", "--seed", "3", "--chunk-size", "500", "--backend", "fork", "--jobs", "2"],
+    ["figure4", "--precision", "float32", "--chunk-size", "25", "--backend", "fork", "--jobs", "2"],
+    ["table2", "--traces", "600", "--chunk-size", "200", "--backend", "fork", "--jobs", "2"],
 ]
 
 
