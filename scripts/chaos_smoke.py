@@ -1,19 +1,19 @@
 """CI chaos smoke: injected faults must not change a single output byte.
 
-Three stories, each compared against the same clean serial reference:
+Three stories, each folding the campaign into its per-sample trace
+mean/variance (``TraceMeanVarFold`` through ``StreamingCampaign.reduce``)
+and compared against the same clean serial reference:
 
 1. **flaky-then-succeed** — a transform that raises transiently for its
    first two attempts, recovered by the retry budget;
 2. **hang-then-timeout** — a worker that sleeps far past the watchdog
    deadline once, detected by the timeout, pool rebuilt, chunk
    re-dispatched;
-3. **kill-then-resume** — a checkpointing fold (per-sample trace
-   mean/variance through ``StreamingCampaign.reduce``) SIGKILLed
-   mid-campaign in a subprocess, resumed here from its checkpoint.
+3. **kill-then-resume** — a checkpointing fold SIGKILLed mid-campaign
+   in a subprocess, resumed here from its checkpoint.
 
-Every recovered run must serialize to JSON byte-identical to the clean
-run (the traces, or the folded statistics for the checkpointed fold);
-each scenario's structured fault report is written to the ``--out``
+Every recovered run's folded statistics must serialize to JSON
+byte-identical to the clean run's; each scenario's structured fault report is written to the ``--out``
 path so CI can upload it as an artifact.
 
 Usage: PYTHONPATH=src python scripts/chaos_smoke.py [--out chaos_report.json]
@@ -78,19 +78,6 @@ def make_inputs():
     return inputs
 
 
-def summarize(chunks: dict[int, np.ndarray]) -> str:
-    """One canonical JSON string per campaign outcome (byte-exact)."""
-    traces = np.concatenate([chunks[i] for i in sorted(chunks)])
-    return json.dumps(
-        {
-            "sha256": hashlib.sha256(traces.tobytes()).hexdigest(),
-            "shape": list(traces.shape),
-            "dtype": str(traces.dtype),
-        },
-        sort_keys=True,
-    )
-
-
 def summarize_fold(mean_var) -> str:
     """The folded trace mean/variance as one canonical JSON string."""
     state = mean_var.state()
@@ -104,31 +91,23 @@ def summarize_fold(mean_var) -> str:
     )
 
 
-def stream_chunks(engine, inputs, **kwargs) -> dict[int, np.ndarray]:
-    return {
-        chunk.index: chunk.traces
-        for chunk in engine.stream(inputs, chunk_size=CHUNK_SIZE, **kwargs)
-    }
-
-
-def reduce_mean_var(checkpointer=None):
-    """The checkpointed fold the kill-then-resume story interrupts."""
+def reduce_mean_var(checkpointer=None, **kwargs):
+    """The campaign's trace mean/variance fold, every story's output."""
     return make_engine().reduce(
         make_inputs(),
         TraceMeanVarFold(),
         chunk_size=CHUNK_SIZE,
         checkpoint=checkpointer,
+        **kwargs,
     ).value
 
 
 def scenario_flaky(clean: str, workdir: str, backend: str) -> dict:
     flaky = FlakyTransform(os.path.join(workdir, "flaky-ledger"), fail_times=2)
     with collecting_faults() as report:
-        chunks = stream_chunks(
-            make_engine(), make_inputs(), jobs=2, backend=backend,
-            power_transform=flaky, retry=RETRY,
-        )
-    recovered = summarize(chunks)
+        recovered = summarize_fold(reduce_mean_var(
+            jobs=2, backend=backend, power_transform=flaky, retry=RETRY,
+        ))
     assert recovered == clean, f"flaky run diverged:\n{recovered}\n{clean}"
     assert report.attempts >= 2 and report.retries, "no retry was recorded"
     return report.to_json()
@@ -141,11 +120,9 @@ def scenario_hang(clean: str, workdir: str, backend: str) -> dict:
         os.path.join(workdir, "hang-ledger"), hang_times=1, hang_seconds=60.0, skip=1
     )
     with collecting_faults() as report:
-        chunks = stream_chunks(
-            make_engine(), make_inputs(), jobs=2, backend=backend,
-            power_transform=hang, retry=RETRY, chunk_timeout=5.0,
-        )
-    recovered = summarize(chunks)
+        recovered = summarize_fold(reduce_mean_var(
+            jobs=2, backend=backend, power_transform=hang, retry=RETRY, chunk_timeout=5.0,
+        ))
     assert recovered == clean, f"hung run diverged:\n{recovered}\n{clean}"
     assert report.timeouts >= 1, "the watchdog never fired"
     return report.to_json()
@@ -179,7 +156,7 @@ KILL_DRIVER = textwrap.dedent(
 )
 
 
-def scenario_kill_resume(workdir: str) -> dict:
+def scenario_kill_resume(clean: str, workdir: str) -> dict:
     ckpt = os.path.join(workdir, "ckpt")
     driver = os.path.join(workdir, "kill_driver.py")
     with open(driver, "w") as handle:
@@ -192,7 +169,6 @@ def scenario_kill_resume(workdir: str) -> dict:
         f"driver exited {proc.returncode}, expected SIGKILL"
     )
 
-    clean = summarize_fold(reduce_mean_var())
     with collecting_faults() as report:
         checkpointer = Checkpointer(ckpt, resume=True)
         recovered = summarize_fold(reduce_mean_var(checkpointer))
@@ -207,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     backend = "fork" if fork_available() else "pool"
-    clean = summarize(stream_chunks(make_engine(), make_inputs(), backend="serial"))
+    clean = summarize_fold(reduce_mean_var(backend="serial"))
     print(f"clean serial reference: {clean}")
 
     reports = {}
@@ -219,7 +195,7 @@ def main(argv=None) -> int:
         reports["hang_then_timeout"] = scenario_hang(clean, workdir, backend)
         print("hang-then-timeout: recovered byte-identical")
         clear_quarantine()
-        reports["kill_then_resume"] = scenario_kill_resume(workdir)
+        reports["kill_then_resume"] = scenario_kill_resume(clean, workdir)
         print("kill-then-resume: recovered byte-identical")
 
     with open(args.out, "w") as handle:

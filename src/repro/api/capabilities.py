@@ -43,9 +43,6 @@ class Capability(enum.Enum):
     #: the runner honors the fault-tolerance knobs (``retries``,
     #: ``chunk_timeout``, ``checkpoint``, ``resume``)
     RESILIENCE = "resilience"
-    #: the runner honors ``reduce`` (worker-side statistic folding —
-    #: the comms-avoiding dispatch mode, see docs/backends.md)
-    REDUCE = "reduce"
     #: the runner honors ``manifest`` (a corpus batch-manifest path —
     #: and *requires* one, see docs/corpus.md)
     MANIFEST = "manifest"
@@ -70,7 +67,6 @@ KNOB_CAPABILITIES: dict[str, Capability] = {
     "chunk_timeout": Capability.RESILIENCE,
     "checkpoint": Capability.RESILIENCE,
     "resume": Capability.RESILIENCE,
-    "reduce": Capability.REDUCE,
     "manifest": Capability.MANIFEST,
 }
 
@@ -90,7 +86,6 @@ KNOB_FLAGS: dict[str, str] = {
     "chunk_timeout": "--chunk-timeout",
     "checkpoint": "--checkpoint",
     "resume": "--resume",
-    "reduce": "--reduce",
     "manifest": "--manifest",
 }
 

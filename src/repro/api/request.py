@@ -21,9 +21,6 @@ if TYPE_CHECKING:  # registry imports this module lazily; avoid the cycle
 #: Accepted values of the ``precision`` knob.
 PRECISIONS = ("float64-exact", "float32")
 
-#: Accepted values of the ``reduce`` knob.
-REDUCE_MODES = ("parent", "worker")
-
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -57,10 +54,6 @@ class RunRequest:
     checkpoint: str | None = None
     #: resume from ``checkpoint`` instead of starting fresh
     resume: bool | None = None
-    #: where campaign statistics fold: ``"parent"`` streams raw chunks
-    #: back, ``"worker"`` folds worker-side and ships only sufficient
-    #: statistics (comms-avoiding; requires REDUCE)
-    reduce: str | None = None
     #: path of a corpus batch manifest (requires MANIFEST; the corpus
     #: scenario also *requires* one to be set — see docs/corpus.md)
     manifest: str | None = None
@@ -85,10 +78,6 @@ class RunRequest:
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
             raise ValueError(
                 f"chunk_timeout must be positive, got {self.chunk_timeout}"
-            )
-        if self.reduce is not None and self.reduce not in REDUCE_MODES:
-            raise ValueError(
-                f"reduce must be one of {REDUCE_MODES}, got {self.reduce!r}"
             )
         if self.manifest is not None and not isinstance(self.manifest, str):
             raise ValueError(
@@ -166,10 +155,6 @@ class RunRequest:
             elif name == "resume":
                 # resume=False is indistinguishable from "not asked"
                 if value:
-                    knobs.append(name)
-            elif name == "reduce":
-                # "parent" is every scenario's implicit behavior
-                if value == "worker":
                     knobs.append(name)
             elif value is not None:
                 knobs.append(name)

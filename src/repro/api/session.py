@@ -47,7 +47,6 @@ class Session:
         retries: int | None = None,
         chunk_timeout: float | None = None,
         checkpoint: str | None = None,
-        reduce: str | None = None,
         manifest: str | None = None,
     ):
         #: session policy, merged (where supported) into every request
@@ -62,7 +61,6 @@ class Session:
             retries=retries,
             chunk_timeout=chunk_timeout,
             checkpoint=checkpoint,
-            reduce=reduce,
             manifest=manifest,
         )
         #: the session-owned persistent pool, created lazily when the

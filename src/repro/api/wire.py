@@ -7,7 +7,9 @@ locally built one — defaulting still happens in exactly one place,
 :meth:`RunRequest.resolve`), and :func:`request_from_json` parses
 strictly — unknown fields, wrong types and malformed config/scope
 overrides are all rejected with a :class:`RequestSchemaError` naming
-every violation, never silently dropped.
+every violation, never silently dropped.  A retired field is the one
+exception: its value is still checked, then dropped, so queued records
+and older clients keep parsing under the same schema version.
 
 Capability validation happens at deserialization time when the caller
 names the target scenario: the service front-end passes the scenario so
@@ -47,9 +49,13 @@ _SCALAR_FIELDS: dict[str, tuple[type, ...]] = {
     "chunk_timeout": (int, float),
     "checkpoint": (str,),
     "resume": (bool,),
-    "reduce": (str,),
     "manifest": (str,),
 }
+
+#: The values the retired ``reduce`` field accepted.  It chose where a
+#: chunk folds; every chunk now folds where it is acquired, so a record
+#: that still carries it is checked against these and the field dropped.
+_RETIRED_REDUCE_VALUES = ("parent", "worker")
 
 
 class RequestSchemaError(ValueError):
@@ -268,10 +274,14 @@ def request_from_json(record: Any, scenario: Any = None) -> "RunRequest":
         problems.append(
             f"schema must be {REQUEST_SCHEMA!r}, got {record.get('schema')!r}"
         )
-    known = set(_SCALAR_FIELDS) | {"schema", "grid", "backend", "config", "scope"}
+    known = set(_SCALAR_FIELDS) | {"schema", "grid", "backend", "config", "scope", "reduce"}
     unknown = sorted(set(record) - known)
     if unknown:
         problems.append(f"unknown field(s): {', '.join(unknown)}")
+    if "reduce" in record and record["reduce"] not in _RETIRED_REDUCE_VALUES:
+        problems.append(
+            f"'reduce' must be one of {_RETIRED_REDUCE_VALUES}, got {record['reduce']!r}"
+        )
     kwargs: dict[str, Any] = {}
     for name, types_ in _SCALAR_FIELDS.items():
         if name not in record:

@@ -2,10 +2,11 @@
 
 A backend executes a campaign's *chunk tasks* — declarative descriptions
 of one trace-range acquisition (chunk bounds, a counter range via
-``trace_offset``, the chunk's scope seed) — and returns their results in
-task order.  The streaming engine builds the task list and a
-:class:`BackendContext` (the live campaign, the input batch, the power
-transforms), then dispatches through whichever backend the caller's
+``trace_offset``, the chunk's scope seed), folds each chunk where it
+acquired it and returns the fold states in task order.  The streaming
+engine builds the task list and a :class:`BackendContext` (the live
+campaign, the input batch, the fold, the power transforms), then
+dispatches through whichever backend the caller's
 policy resolves to; every backend is required to be byte-identical to
 :class:`SerialBackend` for float32 campaigns, where the counter-based
 scope noise makes any sharding of the trace axis a no-op by
@@ -29,17 +30,15 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.backends.resilience import ResilienceContext, run_attempts
-from repro.power.acquisition import (
-    BatchInputs,
-    CompiledAcquisition,
-    TraceCampaign,
-    TraceSet,
-)
+from repro.power.acquisition import BatchInputs, TraceCampaign, TraceSet
+
+if TYPE_CHECKING:  # reduction imports this module; avoid the cycle
+    from repro.campaigns.reduction import ChunkFold
 
 
 class BackendUnavailable(RuntimeError):
@@ -155,21 +154,17 @@ class BackendContext:
 
     campaign: TraceCampaign
     inputs: BatchInputs
+    #: the :class:`~repro.campaigns.reduction.ChunkFold` every backend
+    #: applies to a chunk where it acquired it, so only the fold state
+    #: crosses a process boundary
+    fold: "ChunkFold"
     power_transform: Callable[[np.ndarray], np.ndarray] | None = None
     power_transform_factory: Callable[[int], Callable] | None = None
     #: chunk 0's resolved transform, precomputed by the engine so the
     #: serial path evaluates ``factory(0)`` exactly once
     transform0: Callable[[np.ndarray], np.ndarray] | None = None
-    #: the parent's compiled acquisition, for slim-payload rewrapping
-    compiled: CompiledAcquisition | None = None
     #: retry/watchdog/validation state (None: historical dispatch paths)
     resilience: "ResilienceContext | None" = None
-    #: worker-side chunk codec — an object with
-    #: ``encode(task, trace_set, parent_path) -> payload`` applied to
-    #: every chunk result *before* it crosses the process boundary
-    #: (the fold state for ``reduce="worker"``); ``None`` ships the slim
-    #: ``(traces, table, power)`` payload
-    codec: Any | None = None
     _spec: CampaignSpec | None = field(default=None, repr=False)
 
     def transform_for(self, index: int):
@@ -185,20 +180,17 @@ class BackendContext:
             self._spec = CampaignSpec.from_campaign(self.campaign)
         return self._spec
 
-    def compiled_path(self) -> list[int] | None:
-        return self.compiled.path if self.compiled is not None else None
-
     def assert_picklable(self, backend_name: str) -> None:
         """The persistent pool needs the declarative context to pickle.
 
-        The campaign constituents always do; the power transforms are
-        the caller's objects and often closures, so name the offender
-        precisely when they do not.
+        The campaign constituents always do; the power transforms and
+        the fold are the caller's objects and may be closures, so name
+        the offender precisely when they do not.
         """
         for label, obj in (
             ("power_transform", self.power_transform),
             ("power_transform_factory", self.power_transform_factory),
-            ("codec", self.codec),
+            ("fold", self.fold),
         ):
             if obj is None:
                 continue
@@ -212,37 +204,8 @@ class BackendContext:
                 ) from error
 
 
-#: ``(index, lo, payload)`` where payload is a full :class:`TraceSet`,
-#: the slim ``(traces, table, power)`` triple to rewrap against the
-#: parent's compiled schedule, or whatever the context's ``codec``
-#: encoded (a fold state).
-ChunkResult = tuple[int, int, Any]
-
-
-def slim_payload(trace_set: TraceSet, parent_path: list[int] | None):
-    """Strip shared compiled objects when the worker's path matches.
-
-    The parent holds the same compiled schedule (inherited at fork, or
-    rebuilt from the same spec in a pool worker), so only the per-chunk
-    arrays need to cross the pipe; a recompiled divergent chunk ships
-    whole.
-    """
-    if parent_path is not None and trace_set.path == parent_path:
-        return trace_set.traces, trace_set.table, trace_set.power
-    return trace_set
-
-
-def encode_chunk(codec, task: ChunkTask, trace_set: TraceSet, parent_path):
-    """Apply the context codec (or the slim default) to one chunk result.
-
-    This runs on the worker side of the process boundary — the whole
-    point of a codec is to shrink what crosses it — and uniformly in
-    the serial backend, so validators and consumers see one payload
-    shape per campaign regardless of backend.
-    """
-    if codec is not None:
-        return codec.encode(task, trace_set, parent_path)
-    return slim_payload(trace_set, parent_path)
+#: ``(index, state)``: a task's index and the fold state of its chunk.
+ChunkResult = tuple[int, Any]
 
 
 class ExecutionBackend(abc.ABC):
@@ -282,7 +245,7 @@ class ExecutionBackend(abc.ABC):
     def map_chunks(
         self, context: BackendContext, tasks: Sequence[ChunkTask]
     ) -> Iterator[ChunkResult]:
-        """Execute every task, yielding results in task order."""
+        """Execute and fold every task, yielding ``(index, state)`` in task order."""
 
     def map_items(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Generic ordered fan-out (``[fn(item) for item in items]``)."""
@@ -326,26 +289,20 @@ class SerialBackend(ExecutionBackend):
         self, context: BackendContext, tasks: Sequence[ChunkTask]
     ) -> Iterator[ChunkResult]:
         resilience = context.resilience
-        codec = context.codec
-        parent_path = context.compiled_path()
 
         def produce(task: ChunkTask):
-            # The codec runs inside the attempt so a retried chunk
-            # re-encodes from scratch and validators always see the
-            # same payload shape the pool backends deliver.
+            # The fold runs inside the attempt, so a retried chunk
+            # refolds from scratch.
             trace_set = run_chunk_task(
                 context.campaign, context.inputs, task, context.transform_for(task.index)
             )
-            if codec is not None:
-                return codec.encode(task, trace_set, parent_path)
-            return trace_set
+            return context.fold.fold_chunk(task, trace_set)
 
         for task in tasks:
             if resilience is None:
-                payload = produce(task)
+                state = produce(task)
             else:
-                payload = run_attempts(
+                state = run_attempts(
                     resilience, task, lambda attempt: produce(task), self.name
                 )
-            yield task.index, task.lo, payload
-
+            yield task.index, state

@@ -20,8 +20,10 @@ Two ways to put more cores behind a campaign, both byte-identical to
   traceback chained as ``__cause__``) without poisoning the pool.
 
 Worker-side state lives in module globals installed by pool
-initializers; results stream back in task order via ``imap`` on the
-historical happy path.  When the engine attaches a
+initializers.  Each worker folds the chunk it acquired through the
+context's :class:`~repro.campaigns.reduction.ChunkFold`, so only the
+fold state crosses the pipe; states stream back in task order via
+``imap`` on the historical happy path.  When the engine attaches a
 :class:`~repro.backends.resilience.ResilienceContext`, dispatch switches
 to per-task ``apply_async`` with a watchdog ``get(timeout)``: a worker
 that hangs *or* dies (SIGKILL included — the pool silently repopulates
@@ -46,7 +48,6 @@ from repro.backends.base import (
     ChunkResult,
     ChunkTask,
     ExecutionBackend,
-    encode_chunk,
     run_chunk_task,
 )
 from repro.backends.resilience import (
@@ -73,13 +74,12 @@ def _pool_size(jobs: int, n_tasks: int | None = None) -> int:
 _FORK_STATE: dict = {}
 
 
-def _fork_init(campaign, inputs, transform, factory, parent_path, codec) -> None:  # pragma: no cover
+def _fork_init(campaign, inputs, transform, factory, fold) -> None:  # pragma: no cover
     _FORK_STATE["campaign"] = campaign
     _FORK_STATE["inputs"] = inputs
     _FORK_STATE["transform"] = transform
     _FORK_STATE["factory"] = factory
-    _FORK_STATE["parent_path"] = parent_path
-    _FORK_STATE["codec"] = codec
+    _FORK_STATE["fold"] = fold
 
 
 def _fork_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
@@ -87,8 +87,7 @@ def _fork_chunk(task: ChunkTask):  # pragma: no cover - exercised via Pool
     factory = _FORK_STATE["factory"]
     transform = factory(task.index) if factory is not None else _FORK_STATE["transform"]
     trace_set = run_chunk_task(campaign, _FORK_STATE["inputs"], task, transform)
-    payload = encode_chunk(_FORK_STATE["codec"], task, trace_set, _FORK_STATE["parent_path"])
-    return task.index, task.lo, payload
+    return task.index, _FORK_STATE["fold"].fold_chunk(task, trace_set)
 
 
 # -- persistent-pool workers (fully declarative tasks) ------------------
@@ -155,7 +154,7 @@ def _pool_campaign(spec: CampaignSpec) -> TraceCampaign:  # pragma: no cover
 
 
 def _pool_chunk(payload):  # pragma: no cover - exercised via Pool
-    spec, chunk_inputs, transform, factory, task, parent_path, codec = payload
+    spec, chunk_inputs, transform, factory, task, fold = payload
     campaign = _pool_campaign(spec)
     if factory is not None:
         transform = factory(task.index)
@@ -165,7 +164,7 @@ def _pool_chunk(payload):  # pragma: no cover - exercised via Pool
         scope_seed=task.scope_seed,
         trace_offset=task.trace_offset,
     )
-    return task.index, task.lo, encode_chunk(codec, task, trace_set, parent_path)
+    return task.index, fold.fold_chunk(task, trace_set)
 
 
 def _apply(payload):  # pragma: no cover - exercised via Pool
@@ -239,12 +238,12 @@ def _resilient_dispatch(
                 attempts[task.index] += 1
                 resilience.report.record_attempt()
                 try:
-                    index, lo, data = _await_result(
+                    index, state = _await_result(
                         futures[task.index], resilience.chunk_timeout, task, backend_name
                     )
                     if resilience.validator is not None:
-                        resilience.validator(task, data)
-                    yield index, lo, data
+                        resilience.validator(task, state)
+                    yield index, state
                     delivered.add(task.index)
                     break
                 except KeyboardInterrupt:
@@ -323,8 +322,7 @@ class ForkBackend(ExecutionBackend):
                 context.inputs,
                 context.power_transform,
                 context.power_transform_factory,
-                context.compiled_path(),
-                context.codec,
+                context.fold,
             ),
         )
 
@@ -440,7 +438,6 @@ class PoolBackend(ExecutionBackend):
     ) -> Iterator[ChunkResult]:
         context.assert_picklable(self.name)
         spec = context.spec()
-        parent_path = context.compiled_path()
         payloads = {
             task.index: (
                 spec,
@@ -448,8 +445,7 @@ class PoolBackend(ExecutionBackend):
                 context.power_transform,
                 context.power_transform_factory,
                 task,
-                parent_path,
-                context.codec,
+                context.fold,
             )
             for task in tasks
         }

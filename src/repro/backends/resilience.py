@@ -273,7 +273,8 @@ class ResilienceContext:
     #: soft per-chunk deadline in seconds (None: no watchdog)
     chunk_timeout: float | None = None
     report: FaultReport = field(default_factory=FaultReport)
-    #: ``validator(task, payload)`` raises :class:`ChunkCorruption`
+    #: ``validator(task, state)`` raises :class:`ChunkCorruption` on a
+    #: malformed chunk fold state
     validator: Callable[[Any, Any], None] | None = None
     #: injectable for tests (replaces real backoff sleeps)
     sleep: Callable[[float], None] = time.sleep
@@ -304,8 +305,8 @@ def run_attempts(
 ) -> Any:
     """Run ``attempt_fn`` under the retry policy; the serial attempt loop.
 
-    ``attempt_fn(attempt)`` produces the chunk payload (1-based attempt
-    numbers); the payload is validated before it counts as success.
+    ``attempt_fn(attempt)`` produces the chunk's fold state (1-based
+    attempt numbers); the state is validated before it counts as success.
     Non-retryable errors and exhausted budgets re-raise the original
     exception.
     """

@@ -10,8 +10,8 @@ The shared acquisition→attack path of every experiment in the repo:
   the two-pass references produce; a CPA model is a ``[k, n_guesses]``
   matrix or a :class:`~repro.sca.models.ClassModel`, nothing else;
 * :mod:`repro.campaigns.reduction` — :class:`ChunkFold`, the one way
-  drivers hand the engine a statistic (merged in chunk order, in the
-  parent or worker-side): every trace-driven scenario's correlations
+  drivers hand the engine a statistic (folded where each chunk is
+  acquired, merged in chunk order): every trace-driven scenario's correlations
   fold through :meth:`StreamingCampaign.reduce`, an unchunked run
   being the single-chunk case;
 * :mod:`repro.campaigns.checkpoint` — atomic, versioned
@@ -39,7 +39,6 @@ _EXPORTS = {
     "OnlineSnrAccumulator": "repro.campaigns.accumulators",
     "OnlineTTestAccumulator": "repro.campaigns.accumulators",
     "StreamingCampaign": "repro.campaigns.engine",
-    "TraceChunk": "repro.campaigns.engine",
     "Scenario": "repro.campaigns.registry",
     "register": "repro.campaigns.registry",
     "registry": "repro.campaigns",

@@ -45,8 +45,8 @@ prefix of a stream — that is the engine behind the chunk-aligned
 Every accumulator additionally exposes a compact ``state()`` /
 ``from_state()`` serialization (plain dicts of numpy arrays and
 scalars) so a worker process can ship *sufficient statistics* back to
-the parent instead of raw traces — the comms-avoiding reduction of
-``docs/backends.md``.  Merging a ``from_state`` round-trip of a
+the parent instead of raw traces (``docs/backends.md``, "Where a
+chunk folds").  Merging a ``from_state`` round-trip of a
 single-chunk accumulator is bit-identical to updating with that chunk
 directly (the combine runs on exactly the chunk moments ``update``
 would compute), which is what makes worker-side reduction byte-equal

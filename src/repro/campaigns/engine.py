@@ -3,7 +3,7 @@
 :class:`StreamingCampaign` is the one acquisition path every experiment
 driver runs through.  It compiles a program's pipeline/leakage schedule
 once (consulting a process-wide cache shared across campaigns on
-programs of the same content), then yields traces in fixed-size
+programs of the same content), then acquires traces in fixed-size
 chunks: each chunk is a full
 :class:`~repro.power.acquisition.TraceSet` over a slice of the
 inputs, replayed by the compiled trace tape (:mod:`repro.isa.vtrace`),
@@ -11,7 +11,9 @@ evaluated against the leakage schedule and captured by the oscilloscope
 chain with a chunk-indexed noise seed (float64-exact) or counter range
 (float32).  :meth:`StreamingCampaign.reduce` folds those chunks into a
 statistic through a :class:`~repro.campaigns.reduction.ChunkFold` — the
-one path drivers compute statistics through, checkpoints included.
+one path drivers compute statistics through, checkpoints included; a
+chunk folds where it was acquired, and only its fold state leaves the
+backend.
 
 Properties the rest of the stack builds on:
 
@@ -26,9 +28,10 @@ Properties the rest of the stack builds on:
 * **parallelism** — chunks are independent *declarative tasks*
   (:class:`~repro.backends.base.ChunkTask`: chunk bounds, a counter
   range via ``trace_offset``, the chunk's scope seed) dispatched through
-  a pluggable :class:`~repro.backends.ExecutionBackend`; results stream
-  back in chunk order, and every backend is byte-identical to the
-  serial reference for float32 campaigns (see ``docs/backends.md``).
+  a pluggable :class:`~repro.backends.ExecutionBackend`, which folds
+  each chunk where it acquired it; fold states stream back in chunk
+  order, and every backend is byte-identical to the serial reference
+  for float32 campaigns (see ``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ import hashlib
 import pickle
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -115,38 +117,14 @@ def clear_schedule_cache() -> None:
 atexit.register(clear_schedule_cache)
 
 
-@dataclass
-class TraceChunk:
-    """One streamed slice of a campaign: a TraceSet plus its offset."""
-
-    start: int
-    index: int
-    trace_set: TraceSet
-
-    @property
-    def traces(self) -> np.ndarray:
-        return self.trace_set.traces
-
-    @property
-    def inputs(self) -> BatchInputs:
-        return self.trace_set.inputs
-
-    @property
-    def n_traces(self) -> int:
-        return self.trace_set.n_traces
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.n_traces
-
-
 class StreamingCampaign:
     """Chunked acquisition harness for one program on one pipeline.
 
     A drop-in superset of :class:`~repro.power.acquisition.TraceCampaign`:
     :meth:`acquire` materializes a whole campaign exactly as the
-    monolithic path does, :meth:`stream` yields it chunk by chunk in
-    bounded memory, optionally fanning chunks out over worker processes.
+    monolithic path does, :meth:`reduce` folds it chunk by chunk into a
+    statistic in bounded memory, optionally fanning chunks out over
+    worker processes.
     """
 
     def __init__(
@@ -259,9 +237,10 @@ class StreamingCampaign:
             raise ValueError(f"chunk size must be positive, got {size}")
         return [(lo, min(lo + size, n_traces)) for lo in range(0, n_traces, size)]
 
-    def stream(
+    def reduce(
         self,
         inputs: BatchInputs,
+        fold,
         chunk_size: int | None = None,
         jobs: int | None = None,
         power_transform: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -270,12 +249,18 @@ class StreamingCampaign:
         backend: str | ExecutionBackend | None = None,
         retry: RetryPolicy | int | None = None,
         chunk_timeout: float | None = None,
-    ) -> Iterator[TraceChunk]:
-        """Yield the campaign as ordered, seed-stable trace chunks.
+        checkpoint: Checkpointer | None = None,
+    ):
+        """Fold the campaign's chunks into one accumulator, in chunk order.
 
-        On a process backend each chunk crosses the process boundary as
-        the slim ``(traces, table, power)`` payload and is rewrapped
-        here against the parent's compiled schedule.
+        ``fold`` is a :class:`~repro.campaigns.reduction.ChunkFold`.
+        Every chunk folds into a fresh per-chunk state (``fold_chunk``)
+        where it was acquired — in this process on the serial backend,
+        in the worker on a process backend — so raw traces never cross
+        a process boundary.  The states are merged **in chunk order**
+        (``merge_state``), which keeps the result byte-identical to the
+        serial fold whatever the chunking layout of the work.  A
+        campaign without ``chunk_size`` is the single-chunk case.
 
         ``power_transform`` applies one callable to every chunk's power
         matrix; ``power_transform_factory`` instead receives the chunk
@@ -295,97 +280,36 @@ class StreamingCampaign:
 
         * ``retry`` — a retry count or a full
           :class:`~repro.backends.RetryPolicy`; each chunk task runs
-          under it inside the backend, and retried chunks are
-          byte-identical because every chunk is a pure function of its
-          trace range.
+          under it inside the backend, and a retried chunk recomputes
+          its state from scratch, so a recovered campaign merges each
+          chunk exactly once.
         * ``chunk_timeout`` — a soft per-chunk deadline (seconds) on
           pool backends: a hung or killed worker surfaces as a
           :class:`~repro.backends.WatchdogTimeout`, the pool is rebuilt
           and the chunk re-dispatched.  A backend that exhausts its
-          budget on timeouts is quarantined; under ``auto`` the stream
+          budget on timeouts is quarantined; under ``auto`` the run
           then falls down the ``pool -> fork -> serial``
           degradation ladder instead of failing.
+        * ``checkpoint`` — the *merged* accumulator state persists after
+          every merged chunk (the checkpoint's ``state_fn``/``restore_fn``
+          default to the fold's ``freeze``/``thaw``); a resumed run
+          re-acquires only missing chunks and merges them onto the
+          restored state, and a fully complete one dispatches nothing.
 
-        Either also enables per-chunk result validation
-        (shape/dtype/finiteness on rewrap, rejected chunks raise
-        :class:`~repro.backends.ChunkCorruption` and count as retryable
-        failures).  Checkpoint/resume is a property of a fold, not of a
-        raw stream: see :meth:`reduce`.
-        """
-        _bounds, jobs, compiled, tasks, context = self._prepare(
-            inputs,
-            chunk_size,
-            jobs,
-            power_transform,
-            power_transform_factory,
-            retry,
-            chunk_timeout,
-        )
-        policy = backend if backend is not None else self.backend
-        for index, lo, payload in self._dispatch(context, tasks, policy=policy, jobs=jobs):
-            yield TraceChunk(
-                start=lo,
-                index=index,
-                trace_set=self._rewrap(payload, inputs, lo, compiled),
-            )
-
-    def reduce(
-        self,
-        inputs: BatchInputs,
-        fold,
-        chunk_size: int | None = None,
-        jobs: int | None = None,
-        power_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-        power_transform_factory: Callable[[int], Callable[[np.ndarray], np.ndarray]]
-        | None = None,
-        backend: str | ExecutionBackend | None = None,
-        retry: RetryPolicy | int | None = None,
-        chunk_timeout: float | None = None,
-        checkpoint: Checkpointer | None = None,
-        reduce: str | None = None,
-    ):
-        """Fold the campaign's chunks into one accumulator, in chunk order.
-
-        ``fold`` is a :class:`~repro.campaigns.reduction.ChunkFold`.
-        Every chunk is folded into a fresh per-chunk state
-        (``fold_chunk``) and the states are merged **in chunk order**
-        (``merge_state``), which keeps the result byte-identical to the
-        serial fold whatever the chunking layout of the work.  A
-        campaign without ``chunk_size`` is the single-chunk case.
-
-        ``reduce`` only decides *where* ``fold_chunk`` runs — the fold
-        and therefore the bytes are the same either way:
-
-        * ``"parent"`` (the default, also ``None``) ships raw chunks and
-          folds them here;
-        * ``"worker"`` folds each chunk where it was acquired and ships
-          only its compact sufficient-statistic state, so raw traces
-          never cross the process boundary.
-
-        The resilience knobs behave exactly as for :meth:`stream`;
-        worker-side validation inspects fold states (finiteness), and a
-        retried chunk recomputes its state from scratch, so a recovered
-        campaign merges each chunk exactly once.  With a ``checkpoint``,
-        the *merged* accumulator state persists after every merged chunk
-        (the checkpoint's ``state_fn``/``restore_fn`` default to the
-        fold's ``freeze``/``thaw``); a resumed run re-acquires only
-        missing chunks and merges them onto the restored state, and a
-        fully complete one dispatches nothing.
+        Any of them also validates every chunk state (finiteness);
+        a rejected state raises :class:`~repro.backends.ChunkCorruption`
+        and counts as a retryable failure.
 
         Returns a :class:`~repro.campaigns.reduction.ReducedCampaign`
         whose ``value`` is the merged accumulator and whose
         ``trace_set`` is a zero-row metadata trace set over the
         compiled schedule.
         """
-        from repro.campaigns.reduction import (
-            FoldCodec,
-            ReducedCampaign,
-            check_reduce_mode,
-        )
+        from repro.campaigns.reduction import ReducedCampaign
 
-        worker = check_reduce_mode(reduce) == "worker"
         bounds, jobs, compiled, tasks, context = self._prepare(
             inputs,
+            fold,
             chunk_size,
             jobs,
             power_transform,
@@ -393,10 +317,7 @@ class StreamingCampaign:
             retry,
             chunk_timeout,
             checkpoint,
-            validator=self._state_validator() if worker else None,
         )
-        if worker:
-            context.codec = FoldCodec(fold)
         holder = {"acc": fold.create()}
         run_tasks = tasks
         if checkpoint is not None:
@@ -417,15 +338,10 @@ class StreamingCampaign:
             run_tasks = [task for task in tasks if task.index not in completed]
         by_index = {task.index: task for task in tasks}
         policy = backend if backend is not None else self.backend
-        for index, lo, payload in self._dispatch(
+        for index, state in self._dispatch(
             context, run_tasks, policy=policy, jobs=jobs, checkpoint=checkpoint
         ):
-            task = by_index[index]
-            if not worker:
-                payload = fold.fold_chunk(
-                    task, self._rewrap(payload, inputs, lo, compiled)
-                )
-            holder["acc"] = fold.merge_state(holder["acc"], task, payload)
+            holder["acc"] = fold.merge_state(holder["acc"], by_index[index], state)
         meta = TraceSet(
             traces=np.empty((0, compiled.leakage.n_samples), dtype=np.float32),
             inputs=inputs,
@@ -443,42 +359,19 @@ class StreamingCampaign:
             backend={"policy": getattr(policy, "name", policy) or "auto", "jobs": jobs},
         )
 
-    @staticmethod
-    def _rewrap(
-        payload, inputs: BatchInputs, lo: int, compiled: CompiledAcquisition
-    ) -> TraceSet:
-        """One dispatched raw chunk payload as a full :class:`TraceSet`."""
-        if isinstance(payload, TraceSet):
-            # The serial backend, or a chunk that recompiled against a
-            # different path (data-dependent branch direction): as-is.
-            return payload
-        # Common case: the worker's schedule matches the parent's
-        # compiled acquisition, so only the per-chunk data crossed the
-        # pipe; rewrap with shared objects.
-        traces, table, power = payload
-        return TraceSet(
-            traces=traces,
-            inputs=inputs.slice(lo, lo + traces.shape[0]),
-            schedule=compiled.schedule,
-            leakage=compiled.leakage,
-            table=table,
-            path=compiled.path,
-            power=power,
-        )
-
     def _prepare(
         self,
         inputs: BatchInputs,
+        fold,
         chunk_size: int | None,
         jobs: int | None,
         power_transform,
         power_transform_factory,
         retry,
         chunk_timeout,
-        checkpoint: Checkpointer | None = None,
-        validator: Callable | None = None,
+        checkpoint: Checkpointer | None,
     ):
-        """The shared stream/reduce prelude: compile, calibrate, build tasks."""
+        """The :meth:`reduce` prelude: compile, calibrate, build tasks."""
         if power_transform is not None and power_transform_factory is not None:
             raise ValueError("pass power_transform or power_transform_factory, not both")
         inputs.validate()
@@ -497,9 +390,7 @@ class StreamingCampaign:
             if power_transform_factory is not None
             else power_transform
         )
-        resilience = self._resilience_context(
-            retry, chunk_timeout, checkpoint, compiled, validator=validator
-        )
+        resilience = self._resilience_context(retry, chunk_timeout, checkpoint)
         # Calibration applies chunk 0's transform in the parent, so a
         # transient fault can strike here too; give it the same retry
         # budget the chunks get (index -1 in the fault report).
@@ -522,10 +413,10 @@ class StreamingCampaign:
         context = BackendContext(
             campaign=self._campaign,
             inputs=inputs,
+            fold=fold,
             power_transform=power_transform,
             power_transform_factory=power_transform_factory,
             transform0=transform0,
-            compiled=compiled,
             resilience=resilience,
         )
         return bounds, jobs, compiled, tasks, context
@@ -539,11 +430,11 @@ class StreamingCampaign:
         jobs: int,
         checkpoint: Checkpointer | None = None,
     ):
-        """Resolve the backend and stream ``(index, lo, payload)`` results.
+        """Resolve the backend and stream ``(index, state)`` results.
 
         Commit semantics: a chunk counts as delivered (and its
         checkpoint record is written) only once the consumer resumes
-        this generator, i.e. after the driver finished folding it.
+        this generator, i.e. after :meth:`reduce` merged its state.
         Under an ``auto`` policy a :class:`BackendBroken` backend is
         quarantined and the undelivered chunks re-dispatched down the
         degradation ladder.
@@ -557,8 +448,8 @@ class StreamingCampaign:
             delivered: set[int] = set()
             while pending:
                 try:
-                    for index, lo, payload in resolved.map_chunks(context, pending):
-                        yield index, lo, payload
+                    for index, state in resolved.map_chunks(context, pending):
+                        yield index, state
                         delivered.add(index)
                         if checkpoint is not None:
                             checkpoint.chunk_done(index)
@@ -597,14 +488,11 @@ class StreamingCampaign:
         retry: RetryPolicy | int | None,
         chunk_timeout: float | None,
         checkpoint: Checkpointer | None,
-        compiled: CompiledAcquisition,
-        validator: Callable | None = None,
     ) -> ResilienceContext | None:
         """Build the stream's resilience state, or ``None`` when off.
 
-        Any resilience knob also arms per-chunk validation (by default
-        the trace-block validator; ``validator`` overrides it for
-        encoded payloads such as fold states); the ambient fault report
+        Any resilience knob also arms per-chunk fold-state validation;
+        the ambient fault report
         (a :class:`~repro.api.session.Session` collecting faults) is
         reused so events reach the result envelope.
         """
@@ -621,7 +509,7 @@ class StreamingCampaign:
         context = ResilienceContext(
             policy=policy,
             chunk_timeout=chunk_timeout,
-            validator=validator if validator is not None else self._chunk_validator(compiled),
+            validator=self._state_validator(),
         )
         ambient = active_report()
         if ambient is not None:
@@ -649,46 +537,6 @@ class StreamingCampaign:
                 )
                 attempt += 1
 
-    def _chunk_validator(self, compiled: CompiledAcquisition):
-        """Reject malformed chunk results before they reach the fold.
-
-        Slim payloads must match the parent's compiled schedule exactly
-        (row count, sample width, dtype); full trace sets may carry a
-        divergent recompiled path, so only their row count and
-        finiteness are checked.  Violations raise
-        :class:`~repro.backends.ChunkCorruption` (retryable).
-        """
-        expected_samples = compiled.leakage.n_samples
-        # Both precision chains store captured traces as float32 (the
-        # mode governs intermediate arithmetic, not the output dtype).
-        expected_dtype = np.dtype(np.float32)
-
-        def validate(task: ChunkTask, payload) -> None:
-            slim = not isinstance(payload, TraceSet)
-            traces = payload[0] if slim else payload.traces
-            rows = task.hi - task.lo
-            if traces.ndim != 2 or traces.shape[0] != rows:
-                raise ChunkCorruption(
-                    f"chunk {task.index}: trace block has shape {traces.shape}, "
-                    f"expected ({rows}, n_samples)"
-                )
-            if slim and traces.shape[1] != expected_samples:
-                raise ChunkCorruption(
-                    f"chunk {task.index}: {traces.shape[1]} samples per trace, "
-                    f"expected {expected_samples}"
-                )
-            if slim and traces.dtype != expected_dtype:
-                raise ChunkCorruption(
-                    f"chunk {task.index}: traces have dtype {traces.dtype}, "
-                    f"expected {expected_dtype}"
-                )
-            if not np.isfinite(traces).all():
-                raise ChunkCorruption(
-                    f"chunk {task.index}: non-finite values in traces"
-                )
-
-        return validate
-
     @staticmethod
     def _state_validator() -> Callable:
         """Reject corrupted fold states before they reach the merge.
@@ -696,8 +544,7 @@ class StreamingCampaign:
         Fold states are nested dicts/lists of numpy arrays and scalars;
         a corrupted chunk (non-finite traces, a poisoned transform)
         surfaces as non-finite moments.  Violations raise
-        :class:`~repro.backends.ChunkCorruption` (retryable) exactly
-        like the trace-block validator does for raw payloads.
+        :class:`~repro.backends.ChunkCorruption` (retryable).
         """
 
         def check(value) -> None:

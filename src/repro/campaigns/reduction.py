@@ -3,12 +3,10 @@
 A :class:`ChunkFold` is what a driver hands
 :meth:`~repro.campaigns.engine.StreamingCampaign.reduce`: every chunk
 folds into a fresh accumulator whose compact ``state()`` dict the
-engine merges into the running one **in chunk order**.  Where the
-per-chunk fold runs is the ``reduce`` knob — in the parent on the raw
-chunk (``"parent"``, the default), or in the worker (``"worker"``), so
-that only the state crosses the process boundary instead of the
-O(traces) trace block.  The fold, and therefore every output byte, is
-the same either way.
+engine merges into the running one **in chunk order**.  The per-chunk
+fold runs where the chunk was acquired — in the worker on a process
+backend — so only the state crosses the process boundary, never the
+O(traces) trace block.
 
 Why chunk order matters: merging a single-chunk accumulator replays
 exactly the combine step ``update`` would have run on that chunk (the
@@ -16,14 +14,8 @@ state carries precisely the chunk moments ``update`` computes), so a
 merge chain over per-chunk states is *bit-identical* to the serial
 fold — but only for the serial association ``((c0 + c1) + c2) + c3``.
 Workers therefore never pre-merge neighbouring chunks; they return one
-state per chunk and the parent owns the fold order.
-
-:class:`FoldCodec` is the worker-side transport half: a picklable
-object installed on the :class:`~repro.backends.base.BackendContext`
-that backends call to encode a chunk's
-:class:`~repro.power.acquisition.TraceSet` into its fold state before it
-crosses the process boundary.  See ``docs/backends.md`` ("Reduction
-modes") for the full contract.
+state per chunk and the parent owns the fold order.  See
+``docs/backends.md`` ("Where a chunk folds") for the full contract.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.request import REDUCE_MODES
 from repro.backends.base import ChunkTask
 from repro.campaigns.accumulators import (
     COMOMENT,
@@ -46,20 +37,6 @@ from repro.campaigns.accumulators import (
     OnlineMeanVar,
 )
 from repro.power.acquisition import TraceSet
-
-
-def check_reduce_mode(reduce: str | None) -> str:
-    """The ``reduce`` knob normalized (``None`` is ``"parent"``).
-
-    The mode picks where
-    :meth:`~repro.campaigns.engine.StreamingCampaign.reduce` runs
-    ``fold_chunk``: in the parent on raw chunks, or in the worker.
-    """
-    if reduce is None:
-        return "parent"
-    if reduce not in REDUCE_MODES:
-        raise ValueError(f"reduce must be one of {REDUCE_MODES}, got {reduce!r}")
-    return reduce
 
 
 class ChunkFold(abc.ABC):
@@ -77,7 +54,8 @@ class ChunkFold(abc.ABC):
 
     @abc.abstractmethod
     def fold_chunk(self, task: ChunkTask, trace_set: TraceSet) -> Any:
-        """Worker-side: fold one chunk into a compact, picklable state."""
+        """Fold one chunk into a compact, picklable state, where it was
+        acquired (in the worker on a process backend)."""
 
     @abc.abstractmethod
     def merge_state(self, accumulator: Any, task: ChunkTask, state: Any) -> Any:
@@ -95,16 +73,6 @@ class ChunkFold(abc.ABC):
     def thaw(self, frozen: Any) -> Any:
         """Rebuild an accumulator from :meth:`freeze` output."""
         return frozen
-
-
-@dataclass(frozen=True)
-class FoldCodec:
-    """Worker-side chunk codec: trace sets out, fold states back."""
-
-    fold: ChunkFold
-
-    def encode(self, task: ChunkTask, trace_set: TraceSet, parent_path):
-        return self.fold.fold_chunk(task, trace_set)
 
 
 def _chunk_plaintexts(trace_set: TraceSet, block: int | None) -> np.ndarray:

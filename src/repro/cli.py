@@ -67,12 +67,6 @@ Flags:
     Batch manifest for the ``corpus`` scenario (which *requires* one;
     see ``docs/corpus.md``).  Under ``all``, the corpus joins the batch
     only when a manifest is supplied.
-``--reduce parent|worker``
-    Where campaign statistics fold.  ``worker`` is the comms-avoiding
-    mode: each worker folds its chunk locally and ships only compact
-    sufficient statistics, merged in chunk order — byte-identical to
-    the parent fold at a fraction of the IPC bytes (see
-    ``docs/backends.md``, "Reduction modes").
 ``--format json|text``
     ``text`` (default) prints each scenario's rendered report;
     ``json`` emits an array of schema-versioned result envelopes
@@ -238,16 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch manifest for the corpus scenario (see docs/corpus.md)",
     )
     parser.add_argument(
-        "--reduce",
-        choices=("parent", "worker"),
-        default=None,
-        help=(
-            "where campaign statistics fold: 'worker' ships only "
-            "sufficient statistics between processes (comms-avoiding, "
-            "byte-identical); default: 'parent'"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -275,7 +259,6 @@ def _build_request(parser: argparse.ArgumentParser, args: argparse.Namespace):
             chunk_timeout=args.chunk_timeout,
             checkpoint=args.checkpoint,
             resume=True if args.resume else None,
-            reduce=args.reduce,
             manifest=args.manifest,
         )
     except ValueError as error:

@@ -109,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="soft per-chunk watchdog deadline",
     )
     runner.add_argument(
-        "--reduce",
-        choices=("parent", "worker"),
-        default=None,
-        help="where cell statistics fold (worker = comms-avoiding)",
-    )
-    runner.add_argument(
         "--checkpoint",
         default=None,
         metavar="DIR",
@@ -165,7 +159,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             precision=args.precision,
             retries=args.retries,
             chunk_timeout=args.chunk_timeout,
-            reduce=args.reduce,
         )
     except ValueError as error:
         parser.error(str(error))

@@ -8,8 +8,8 @@ chunk fan-out *inside* each cell), with four guarantees:
   or scope override, or any execution error fails that cell alone; the
   rest of the batch completes and the error lands in the report.
 * **Capability negotiation** — a cell requesting an engine knob its
-  workload does not declare (e.g. worker-side reduction on a workload
-  whose fold is not distributive) fails at negotiation time with a
+  workload does not declare (e.g. chunking on a workload that cannot
+  stream) fails at negotiation time with a
   message naming the knob, before any trace is acquired.
 * **Store-served re-runs** — completed cells persist to the
   content-addressed :class:`~repro.corpus.store.ArtifactStore`; an
@@ -20,7 +20,7 @@ chunk fan-out *inside* each cell), with four guarantees:
   :class:`~repro.campaigns.checkpoint.Checkpointer` contract), so a
   killed batch restarted with ``resume=True`` re-runs only missing
   cells.  The fingerprint covers everything result-affecting and
-  excludes the execution layout (jobs/backend/reduce).
+  excludes the execution layout (jobs/backend).
 
 Every cell shares one campaign seed, so cross-workload metric
 differences isolate the workload/config change, exactly as sweep points
@@ -34,7 +34,6 @@ from dataclasses import replace
 
 from repro.api.capabilities import Capability
 from repro.backends import ExecutionBackend, resolve_backend
-from repro.campaigns.reduction import check_reduce_mode
 from repro.corpus.manifest import CorpusCell, Manifest
 from repro.corpus.report import CellResult, CorpusResult, metrics_from_json
 from repro.corpus.store import DEFAULT_STORE_DIR, ArtifactStore, cell_key
@@ -55,7 +54,6 @@ _KNOB_CAPABILITIES = {
     "precision": Capability.PRECISION,
     "retries": Capability.RESILIENCE,
     "chunk_timeout": Capability.RESILIENCE,
-    "reduce": Capability.REDUCE,
 }
 
 
@@ -88,7 +86,6 @@ class CorpusCampaign:
         precision: str | None = None,
         retries: int | None = None,
         chunk_timeout: float | None = None,
-        reduce: str | None = None,
     ):
         self.manifest = manifest
         if isinstance(store, ArtifactStore):
@@ -107,10 +104,6 @@ class CorpusCampaign:
         self.precision = precision
         self.retries = retries
         self.chunk_timeout = chunk_timeout
-        # Checked up front: cells isolate errors, so a bad mode would
-        # otherwise fail every cell one by one.
-        check_reduce_mode(reduce)
-        self.reduce = reduce
 
     # -- per-cell negotiation -------------------------------------------
 
@@ -128,8 +121,6 @@ class CorpusCampaign:
             requested.append("retries")
         if self.chunk_timeout is not None:
             requested.append("chunk_timeout")
-        if self.reduce == "worker":
-            requested.append("reduce")
         return tuple(requested)
 
     def _negotiate(self, workload: Workload) -> None:
@@ -213,7 +204,6 @@ class CorpusCampaign:
             ),
             retry=self.retries,
             chunk_timeout=self.chunk_timeout,
-            reduce=self.reduce,
         )
         metrics = reduced.value.result()
         seconds = time.perf_counter() - start
@@ -309,7 +299,7 @@ class CorpusCampaign:
 
         Covers everything result-affecting — the expanded cell grid,
         the global trace/seed/chunking/precision overrides — and
-        excludes the execution layout (jobs, backend, reduce, retries):
+        excludes the execution layout (jobs, backend, retries):
         results are independent of it by the backend equivalence
         contract, so a resume may change it freely.
         """

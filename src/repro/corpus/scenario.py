@@ -30,7 +30,6 @@ CORPUS_CAPABILITIES = frozenset(
         Capability.BACKEND,
         Capability.PRECISION,
         Capability.RESILIENCE,
-        Capability.REDUCE,
         Capability.MANIFEST,
     }
 )
@@ -51,7 +50,6 @@ def run_corpus(request: RunRequest) -> CorpusResult:
         precision=request.precision,
         retries=request.retries,
         chunk_timeout=request.chunk_timeout,
-        reduce=request.reduce,
     )
     return campaign.run(checkpoint=request.checkpoint, resume=bool(request.resume))
 

@@ -55,7 +55,7 @@ def cell_key(
     ``config`` and ``scope`` are the *materialized* objects the cell
     executes with (grid overrides already applied), so two grid entries
     with different names but identical overrides share a key, exactly
-    as they share results.  Performance knobs (jobs, backend, reduce,
+    as they share results.  Performance knobs (jobs, backend,
     retries) are excluded by :func:`repro.service.cache.key_material`.
     """
     if precision is not None:

@@ -80,7 +80,6 @@ ENGINE_CAPABILITIES = frozenset(
         Capability.BACKEND,
         Capability.PRECISION,
         Capability.RESILIENCE,
-        Capability.REDUCE,
     }
 )
 

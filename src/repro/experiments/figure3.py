@@ -158,7 +158,6 @@ def run_figure3(
     chunk_timeout: float | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
-    reduce: str | None = None,
 ) -> Figure3Result:
     """Acquire the bare-metal campaign and fold the Figure-3 CPA.
 
@@ -179,10 +178,9 @@ def run_figure3(
       completed chunk set after every folded chunk, so a killed run
       restarted with ``resume=True`` re-acquires only the missing chunks
       and produces byte-identical results (see ``docs/resilience.md``);
-    * ``reduce="worker"`` folds each chunk where it was acquired, so
-      only the compact sufficient-statistic state crosses the process
-      boundary; the default (``None`` or
-      ``"parent"``) ships raw chunks and folds them in the parent.
+    * ``jobs``/``backend`` pick where chunks are acquired; each chunk
+      folds there, so only its compact state crosses a process
+      boundary.
     """
     program = round1_only_program(key)
     inputs = random_inputs(n_traces, mem_blocks={LAYOUT.state: 16}, seed=seed)
@@ -206,7 +204,6 @@ def run_figure3(
         retry=retries,
         chunk_timeout=chunk_timeout,
         checkpoint=checkpointer,
-        reduce=reduce,
     )
     trace_set = reduced.trace_set
     cpa = reduced.value.result()
@@ -261,7 +258,6 @@ def _scenario_runner(request: RunRequest) -> Figure3Result:
         chunk_timeout=request.chunk_timeout,
         checkpoint=request.checkpoint,
         resume=bool(request.resume),
-        reduce=request.reduce,
         **kwargs,
     )
 
@@ -287,7 +283,6 @@ SCENARIO = register(
                 Capability.PIPELINE_CONFIG,
                 Capability.SCOPE,
                 Capability.RESILIENCE,
-                Capability.REDUCE,
             }
         ),
         tags=("cpa", "bare-metal"),

@@ -15,8 +15,8 @@ therefore one execution.  The key digests, in canonical JSON:
   ``seed``, ``precision`` and ``grid``.
 
 Performance-only knobs are deliberately excluded: ``jobs``, ``backend``,
-``reduce``, ``retries`` and ``chunk_timeout`` never change results (the
-backend/reduction equivalence guarantees of docs/backends.md), and
+``retries`` and ``chunk_timeout`` never change results (the backend
+equivalence guarantee of docs/backends.md), and
 ``chunk_size`` is layout-invariant on the float32 chain whose noise is
 counter-addressed by absolute trace position.  The float64-exact chain
 draws noise serially per capture, so there chunking *does* change the

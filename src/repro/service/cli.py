@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         help="per-chunk watchdog deadline default for worker sessions",
     )
-    parser.add_argument(
-        "--reduce", choices=("parent", "worker"), default=None,
-        help="statistic-reduction default for worker sessions",
-    )
     return parser
 
 
@@ -96,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         retries=args.retries,
         chunk_timeout=args.chunk_timeout,
-        reduce=args.reduce,
         tenants=tenants,
     )
     runtime = ServiceRuntime(args.spool, policy)

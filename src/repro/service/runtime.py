@@ -83,7 +83,6 @@ class ServicePolicy:
     backend: str | None = None
     retries: int | None = None
     chunk_timeout: float | None = None
-    reduce: str | None = None
     tenants: tuple[Tenant, ...] = ()
     #: seconds clients are told to back off on 429
     retry_after: float = 1.0
@@ -93,7 +92,6 @@ class ServicePolicy:
             "backend": self.backend,
             "retries": self.retries,
             "chunk_timeout": self.chunk_timeout,
-            "reduce": self.reduce,
         }
         return {k: v for k, v in defaults.items() if v is not None}
 

@@ -28,7 +28,7 @@ def run_worker(spool: str, policy: dict | None = None, poll_interval: float = 0.
     """Drain the queue at ``spool`` until stopped; returns jobs handled.
 
     ``policy`` carries session-level execution defaults
-    (``backend``/``retries``/``chunk_timeout``/``reduce``); they apply
+    (``backend``/``retries``/``chunk_timeout``); they apply
     only where a scenario supports them, exactly like any other session
     default.
     """

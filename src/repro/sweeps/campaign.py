@@ -300,7 +300,6 @@ class SweepCampaign:
         backend: str | ExecutionBackend | None = None,
         retries: int | None = None,
         chunk_timeout: float | None = None,
-        reduce: str | None = None,
     ):
         self.spec = spec
         self.n_traces = int(n_traces)
@@ -327,9 +326,6 @@ class SweepCampaign:
         self.retries = retries
         #: soft per-chunk watchdog deadline inside each point's campaign
         self.chunk_timeout = chunk_timeout
-        #: where each point's chunks fold (``"parent"``/``None`` or
-        #: ``"worker"``; see ``docs/backends.md``) — bit-identical results
-        self.reduce = reduce
 
     def __getstate__(self):
         # Point payloads carry the campaign into pool workers; a live
@@ -365,7 +361,6 @@ class SweepCampaign:
             ),
             retry=self.retries,
             chunk_timeout=self.chunk_timeout,
-            reduce=self.reduce,
         )
         return SweepPointResult(
             point=point,

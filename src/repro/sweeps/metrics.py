@@ -108,7 +108,7 @@ class LeakageMetricsFold:
     ordered parts ship to the parent as a compact :meth:`state` dict.
     The parent's :meth:`merge` replays them in stream order, which
     reproduces the serial fold's combine sequence — and therefore its
-    snapshots — exactly (see ``docs/backends.md``, "Reduction modes").
+    snapshots — exactly (see ``docs/backends.md``, "Where a chunk folds").
     """
 
     def __init__(

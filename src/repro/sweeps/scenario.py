@@ -45,7 +45,6 @@ def run_sweep(request: RunRequest) -> SweepResult:
         backend=request.backend,
         retries=request.retries,
         chunk_timeout=request.chunk_timeout,
-        reduce=request.reduce,
     )
     return campaign.run(checkpoint=request.checkpoint, resume=bool(request.resume))
 
@@ -73,7 +72,6 @@ SCENARIO = register(
                 Capability.GRID,
                 Capability.SCOPE,
                 Capability.RESILIENCE,
-                Capability.REDUCE,
             }
         ),
         tags=("sweep", "design-space"),

@@ -17,6 +17,7 @@ from repro.backends import BackendDegradationWarning
 from repro.backends.faults import FlakyTransform
 from repro.backends.resilience import RetryPolicy
 from repro.campaigns.engine import StreamingCampaign
+from repro.campaigns.reduction import TraceMeanVarFold
 from repro.campaigns.registry import Scenario, _REGISTRY, register
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
@@ -63,10 +64,13 @@ class TestFaultReportPlumbing:
             inputs = random_inputs(24, reg_names=(Reg.R1, Reg.R2), seed=5)
             flaky = FlakyTransform(str(tmp_path / "ledger"), fail_times=1)
             policy = RetryPolicy.from_retries(request.retries, backoff_base=0.0)
-            for _chunk in engine.stream(
-                inputs, chunk_size=12, power_transform=flaky, retry=policy
-            ):
-                pass
+            engine.reduce(
+                inputs,
+                TraceMeanVarFold(),
+                chunk_size=12,
+                power_transform=flaky,
+                retry=policy,
+            )
             return _Result()
 
         name = temp_scenario("_api-flaky", runner, {Capability.RESILIENCE})

@@ -42,7 +42,6 @@ LOCKED_CAPABILITIES = {
     "pipeline-config",
     "scope",
     "resilience",
-    "reduce",
     "manifest",
 }
 

@@ -58,7 +58,6 @@ class TestRoundTrip:
             backend="fork",
             retries=2,
             chunk_timeout=5.5,
-            reduce="worker",
             config=PipelineConfig().with_overrides(dual_issue=False),
             scope=ScopeConfig(noise_sigma=2.0, kernel=(1.0, 0.5)),
         )
@@ -200,6 +199,33 @@ class TestStrictParse:
             request.to_json()
 
 
+class TestRetiredReduceField:
+    """``reduce`` once chose where a chunk folds; every chunk now folds
+    where it is acquired.  Queued records and older clients still send
+    it, so a legal value is checked and dropped."""
+
+    RECORD = {"schema": REQUEST_SCHEMA, "n_traces": 600, "jobs": 2, "backend": "fork"}
+
+    @pytest.mark.parametrize("value", ["parent", "worker"])
+    def test_a_legal_value_parses_equal_to_the_record_without_it(self, value):
+        with_reduce = RunRequest.from_json({**self.RECORD, "reduce": value})
+        assert with_reduce == RunRequest.from_json(self.RECORD)
+
+    @pytest.mark.parametrize("value", ["sideways", 1, None])
+    def test_an_illegal_value_is_still_a_schema_error(self, value):
+        with pytest.raises(RequestSchemaError, match="reduce"):
+            RunRequest.from_json({**self.RECORD, "reduce": value})
+
+    def test_to_json_never_emits_it(self):
+        request = RunRequest.from_json({**self.RECORD, "reduce": "worker"})
+        assert "reduce" not in request.to_json()
+        assert request.to_json() == self.RECORD
+
+    def test_run_requests_no_longer_take_it(self):
+        with pytest.raises(TypeError, match="reduce"):
+            RunRequest(reduce="worker")
+
+
 class TestCapabilityAtParse:
     def test_scenario_validation_happens_at_deserialization(self):
         scenario = registry.get("figure2")  # reps-only scenario
@@ -236,7 +262,6 @@ def knob_strategies():
             "chunk_timeout": st.floats(
                 min_value=0.001, max_value=600, allow_nan=False, allow_infinity=False
             ),
-            "reduce": st.sampled_from(["parent", "worker"]),
         },
     )
 

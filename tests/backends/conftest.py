@@ -7,6 +7,7 @@ fork-backend test inherit a warm schedule.
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.campaigns.engine import StreamingCampaign
 from repro.isa.parser import assemble
@@ -56,17 +57,20 @@ def make_engine(program):
 
 @pytest.fixture
 def capture(make_engine, make_inputs):
-    """Acquire the whole campaign through one backend, concatenated."""
+    """Acquire the whole campaign through one backend, concatenated.
 
-    def run(backend, chunk_size, precision="float32", jobs=2, n=48, **stream_kwargs):
-        engine = make_engine(precision)
-        chunks = engine.stream(
+    Each chunk's raw traces are its fold state, so the comparison is of
+    trace bytes, not of a statistic over them.
+    """
+
+    def run(backend, chunk_size, precision="float32", jobs=2, n=48, **reduce_kwargs):
+        return rawchunks.traces(
+            make_engine(precision),
             make_inputs(n),
             chunk_size=chunk_size,
             jobs=jobs,
             backend=backend,
-            **stream_kwargs,
+            **reduce_kwargs,
         )
-        return np.concatenate([chunk.traces for chunk in chunks])
 
     return run

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import (
     BackendContext,
@@ -13,6 +14,7 @@ from repro.backends import (
     ChunkTask,
     SerialBackend,
 )
+from repro.campaigns.reduction import TraceMeanVarFold
 from repro.power.acquisition import TraceCampaign
 from repro.power.scope import ScopeConfig
 
@@ -21,6 +23,13 @@ def make_campaign(program, **overrides):
     kwargs = dict(scope=ScopeConfig(noise_sigma=3.0), seed=0xB0)
     kwargs.update(overrides)
     return TraceCampaign(program, **kwargs)
+
+
+class LocalFold(TraceMeanVarFold):
+    """A fold that refuses to pickle, as one holding a closure would."""
+
+    def __reduce__(self):
+        raise TypeError("LocalFold is not picklable")
 
 
 class TestChunkTask:
@@ -72,6 +81,7 @@ class TestBackendContext:
         context = BackendContext(
             campaign=None,
             inputs=None,
+            fold=TraceMeanVarFold(),
             power_transform_factory=factory,
             transform0=transform0,
         )
@@ -82,16 +92,24 @@ class TestBackendContext:
 
     def test_assert_picklable_names_the_offender(self):
         context = BackendContext(
-            campaign=None, inputs=None, power_transform=lambda power: power
+            campaign=None,
+            inputs=None,
+            fold=TraceMeanVarFold(),
+            power_transform=lambda power: power,
         )
         with pytest.raises(BackendUnavailable, match="power_transform"):
+            context.assert_picklable("pool")
+
+    def test_assert_picklable_names_an_unpicklable_fold(self):
+        context = BackendContext(campaign=None, inputs=None, fold=LocalFold())
+        with pytest.raises(BackendUnavailable, match="fold"):
             context.assert_picklable("pool")
 
     def test_assert_picklable_accepts_picklable_transforms(self):
         from repro.backends.faults import _identity
 
         BackendContext(
-            campaign=None, inputs=None, power_transform=_identity
+            campaign=None, inputs=None, fold=TraceMeanVarFold(), power_transform=_identity
         ).assert_picklable("pool")
 
 
@@ -101,12 +119,8 @@ class TestSerialBackend:
     ):
         inputs = make_inputs()
         monolithic = make_engine().acquire(inputs)
-        chunks = list(
-            make_engine().stream(inputs, chunk_size=16, backend="serial")
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([c.traces for c in chunks]), monolithic.traces
-        )
+        streamed = rawchunks.traces(make_engine(), inputs, chunk_size=16, backend="serial")
+        np.testing.assert_array_equal(streamed, monolithic.traces)
 
     def test_describe_reports_provenance(self):
         info = SerialBackend().describe()

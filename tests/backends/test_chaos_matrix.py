@@ -148,8 +148,8 @@ class TestWatchdogFaults:
         assert report.timeouts >= 1
 
 
-def _reduce(make_engine, make_inputs, policy, reduce="worker", **kwargs):
-    """The whole campaign folded at ``reduce``: merged mean/var."""
+def _reduce(make_engine, make_inputs, policy, **kwargs):
+    """The whole campaign folded on ``policy``: merged mean/var."""
     from repro.campaigns.reduction import TraceMeanVarFold
 
     return make_engine().reduce(
@@ -158,7 +158,6 @@ def _reduce(make_engine, make_inputs, policy, reduce="worker", **kwargs):
         chunk_size=12,
         jobs=2,
         backend=policy,
-        reduce=reduce,
         **kwargs,
     ).value
 
@@ -173,13 +172,12 @@ def _assert_same_fold(recovered, clean):
 
 @pytest.mark.parametrize("policy", TRANSIENT_BACKENDS)
 class TestWorkerReductionFaults:
-    """``reduce="worker"`` under fault injection: merge each chunk once.
+    """Worker-side folds under fault injection: merge each chunk once.
 
     A retried chunk recomputes its fold state from scratch and the
     dispatch layer yields it exactly once, so the recovered merged
     accumulator must equal the clean serial reduction bit for bit —
     any double merge shows up immediately in the count and moments.
-    One parent-fold case checks the other fold site recovers too.
     """
 
     def test_clean_reduction_matches_serial(
@@ -216,26 +214,6 @@ class TestWorkerReductionFaults:
                 make_engine,
                 make_inputs,
                 policy,
-                power_transform=CorruptingTransform(
-                    _ledger(tmp_path), corrupt_times=2
-                ),
-                retry=FAST_RETRY,
-            )
-        _assert_same_fold(recovered, clean)
-        assert report.corruptions >= 1
-
-    def test_parent_fold_rejects_corrupted_traces(
-        self, policy, tmp_path, make_engine, make_inputs
-    ):
-        # Folding in the parent ships raw chunks instead, so the NaN is
-        # caught by the trace-block validator before any fold sees it.
-        clean = _reduce(make_engine, make_inputs, "serial")
-        with collecting_faults() as report:
-            recovered = _reduce(
-                make_engine,
-                make_inputs,
-                policy,
-                reduce="parent",
                 power_transform=CorruptingTransform(
                     _ledger(tmp_path), corrupt_times=2
                 ),

@@ -7,10 +7,14 @@ alike.  float64-exact keeps per-chunk derived seeds, so equality holds
 per chunking (parallel == serial for the same chunk size).
 """
 
+import os
+
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import PoolBackend, fork_available
+from repro.campaigns.reduction import TraceMeanVarFold
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 
@@ -64,8 +68,28 @@ class TestFloat64PerChunking:
         )
 
 
-def test_stream_has_no_transport_option(make_engine, make_inputs):
-    """Chunks cross the process boundary as the slim pickle payload or
-    a worker-side fold state; the shared-memory transport is gone."""
+def test_reduce_has_no_transport_option(make_engine, make_inputs):
+    """Only a chunk's fold state crosses the process boundary, by
+    pickle; there is no transport to choose."""
     with pytest.raises(TypeError, match="transport"):
-        make_engine().stream(make_inputs(), chunk_size=8, jobs=2, transport="shm")
+        make_engine().reduce(
+            make_inputs(), TraceMeanVarFold(), chunk_size=8, jobs=2, transport="shm"
+        )
+
+
+#: every backend a chunk can be acquired on; the process ones run 2 workers
+FOLD_SITE_POLICIES = ("serial", pytest.param("fork", marks=needs_fork), "pool")
+
+
+@pytest.mark.parametrize("policy", FOLD_SITE_POLICIES)
+def test_each_chunk_folds_where_it_was_acquired(policy, make_engine, make_inputs):
+    """``fold_chunk`` runs in-process on serial and in the workers on
+    the process backends, so no raw chunk crosses to the parent."""
+    pids = make_engine().reduce(
+        make_inputs(), rawchunks.PidFold(), chunk_size=8, jobs=2, backend=policy
+    ).value
+    assert len(pids) == 6
+    if policy == "serial":
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import ForkBackend, PoolBackend, fork_available
 from repro.backends.faults import (
@@ -42,14 +43,13 @@ class TestWorkerFailure:
         before = list(multiprocessing.active_children())
         engine = make_engine()
         with pytest.raises(InjectedWorkerError, match="chunk 2") as excinfo:
-            list(
-                engine.stream(
-                    make_inputs(32),
-                    chunk_size=8,
-                    jobs=2,
-                    backend=policy,
-                    power_transform_factory=FaultyTransformFactory(fail_index=2),
-                )
+            rawchunks.chunks(
+                engine,
+                make_inputs(32),
+                chunk_size=8,
+                jobs=2,
+                backend=policy,
+                power_transform_factory=FaultyTransformFactory(fail_index=2),
             )
         # multiprocessing chains the worker-side traceback as __cause__.
         assert "InjectedWorkerError" in str(excinfo.value.__cause__)
@@ -61,19 +61,16 @@ class TestWorkerFailure:
         engine = make_engine()
         inputs = make_inputs(32)
         with pytest.raises(InjectedWorkerError):
-            list(
-                engine.stream(
-                    inputs,
-                    chunk_size=8,
-                    jobs=2,
-                    backend=policy,
-                    power_transform=FaultyTransform(),
-                )
+            rawchunks.chunks(
+                engine,
+                inputs,
+                chunk_size=8,
+                jobs=2,
+                backend=policy,
+                power_transform=FaultyTransform(),
             )
         # The engine and its compiled schedule stay fully usable.
-        clean = np.concatenate(
-            [c.traces for c in engine.stream(inputs, chunk_size=8, backend="serial")]
-        )
+        clean = rawchunks.traces(engine, inputs, chunk_size=8, backend="serial")
         np.testing.assert_array_equal(clean, capture("serial", 8, n=32))
 
 
@@ -86,15 +83,14 @@ class TestDegradation:
         monkeypatch.setattr("repro.backends.pools.fork_available", lambda: False)
         engine = make_engine()
         with pytest.warns(BackendDegradationWarning, match="running serial"):
-            chunks = list(
-                engine.stream(
-                    make_inputs(32),
-                    chunk_size=8,
-                    jobs=2,
-                    power_transform=lambda power: power,
-                )
+            streamed = rawchunks.traces(
+                engine,
+                make_inputs(32),
+                chunk_size=8,
+                jobs=2,
+                power_transform=lambda power: power,
             )
-        assert sum(c.n_traces for c in chunks) == 32
+        assert streamed.shape[0] == 32
 
 
 class TestPoolPicklability:
@@ -105,14 +101,13 @@ class TestPoolPicklability:
 
         before = list(multiprocessing.active_children())
         with pytest.raises(BackendUnavailable, match="power_transform"):
-            list(
-                make_engine().stream(
-                    make_inputs(32),
-                    chunk_size=8,
-                    jobs=2,
-                    backend="pool",
-                    power_transform=lambda power: power,
-                )
+            rawchunks.chunks(
+                make_engine(),
+                make_inputs(32),
+                chunk_size=8,
+                jobs=2,
+                backend="pool",
+                power_transform=lambda power: power,
             )
         wait_for_children_to_exit(before)
 

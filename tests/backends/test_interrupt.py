@@ -29,6 +29,7 @@ DRIVER = textwrap.dedent(
     import numpy as np
 
     from repro.campaigns.engine import StreamingCampaign
+    from repro.campaigns.reduction import TraceMeanVarFold
     from repro.isa.parser import assemble
     from repro.isa.registers import Reg
     from repro.power.acquisition import random_inputs
@@ -51,6 +52,12 @@ DRIVER = textwrap.dedent(
             return power
 
 
+    class AnnouncingFold(TraceMeanVarFold):
+        def merge_state(self, accumulator, task, state):
+            print(f"chunk {task.index}", flush=True)
+            return super().merge_state(accumulator, task, state)
+
+
     def main():
         program = assemble(SRC)
         inputs = random_inputs(96, reg_names=(Reg.R1, Reg.R2), seed=3)
@@ -59,14 +66,14 @@ DRIVER = textwrap.dedent(
             program, scope=ScopeConfig(noise_sigma=1.0, precision="float32"), seed=7
         )
         try:
-            for chunk in engine.stream(
+            engine.reduce(
                 inputs,
+                AnnouncingFold(),
                 chunk_size=8,
                 jobs=2,
                 backend="fork",
                 power_transform=SlowTransform(),
-            ):
-                print(f"chunk {chunk.index}", flush=True)
+            )
         except KeyboardInterrupt:
             deadline = time.monotonic() + 15.0
             while multiprocessing.active_children():

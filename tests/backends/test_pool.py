@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import BackendUnavailable, PoolBackend
 from repro.backends.faults import FaultyTransform, InjectedWorkerError
@@ -38,13 +39,12 @@ class TestPersistentPool:
         backend = PoolBackend(jobs=2)
         try:
             with pytest.raises(InjectedWorkerError):
-                list(
-                    make_engine().stream(
-                        make_inputs(32),
-                        chunk_size=8,
-                        backend=backend,
-                        power_transform=FaultyTransform(),
-                    )
+                rawchunks.chunks(
+                    make_engine(),
+                    make_inputs(32),
+                    chunk_size=8,
+                    backend=backend,
+                    power_transform=FaultyTransform(),
                 )
             np.testing.assert_array_equal(
                 capture(backend, 16), capture("serial", 16)
@@ -79,13 +79,12 @@ class TestPersistentPool:
         backend = PoolBackend(jobs=2)
         try:
             with pytest.raises(BackendUnavailable, match="power_transform"):
-                list(
-                    make_engine().stream(
-                        make_inputs(32),
-                        chunk_size=8,
-                        backend=backend,
-                        power_transform=lambda power: power,
-                    )
+                rawchunks.chunks(
+                    make_engine(),
+                    make_inputs(32),
+                    chunk_size=8,
+                    backend=backend,
+                    power_transform=lambda power: power,
                 )
         finally:
             backend.close()

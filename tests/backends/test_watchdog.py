@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import BackendBroken, BackendDegradationWarning, fork_available
 from repro.backends.faults import HangingTransform
@@ -54,9 +55,7 @@ class TestBackendBroken:
     ):
         engine = make_engine()
         inputs = make_inputs(48)
-        clean = np.concatenate(
-            [c.traces for c in engine.stream(inputs, chunk_size=12, backend="serial")]
-        )
+        clean = rawchunks.traces(engine, inputs, chunk_size=12, backend="serial")
         # hang_times=1: the first worker attempt hangs, the fallback
         # backend's re-dispatch is clean — the stream must still deliver
         # every byte.
@@ -65,18 +64,16 @@ class TestBackendBroken:
         )
         with collecting_faults() as report:
             with pytest.warns(BackendDegradationWarning, match="quarantined"):
-                chunks = list(
-                    engine.stream(
-                        inputs,
-                        chunk_size=12,
-                        jobs=2,
-                        backend="auto",
-                        power_transform=transform,
-                        retry=NO_RETRY,
-                        chunk_timeout=1.0,
-                    )
+                recovered = rawchunks.traces(
+                    engine,
+                    inputs,
+                    chunk_size=12,
+                    jobs=2,
+                    backend="auto",
+                    power_transform=transform,
+                    retry=NO_RETRY,
+                    chunk_timeout=1.0,
                 )
-        recovered = np.concatenate([c.traces for c in chunks])
         np.testing.assert_array_equal(recovered, clean)
         assert is_quarantined("fork")
         assert "fork" in quarantine_info()["fork"]
@@ -94,16 +91,15 @@ class TestBackendBroken:
             str(tmp_path / "ledger"), hang_times=1, hang_seconds=30.0, skip=1
         )
         with pytest.warns(BackendDegradationWarning):
-            list(
-                engine.stream(
-                    inputs,
-                    chunk_size=12,
-                    jobs=2,
-                    backend="auto",
-                    power_transform=transform,
-                    retry=NO_RETRY,
-                    chunk_timeout=1.0,
-                )
+            rawchunks.chunks(
+                engine,
+                inputs,
+                chunk_size=12,
+                jobs=2,
+                backend="auto",
+                power_transform=transform,
+                retry=NO_RETRY,
+                chunk_timeout=1.0,
             )
         # The next auto resolution in this process must avoid fork.
         from repro.backends import resolve_backend

@@ -1,8 +1,9 @@
 """Property tests: every online accumulator merges associatively.
 
-The comms-avoiding dispatch (``reduce="worker"``, see
-``docs/backends.md``) rests on three algebraic facts, checked here with
-hypothesis over arbitrary data and arbitrary re-partitionings:
+Folding each chunk where it is acquired and merging the states in chunk
+order (``docs/backends.md``, "Where a chunk folds") rests on three
+algebraic facts, checked here with hypothesis over arbitrary data and
+arbitrary re-partitionings:
 
 * **merge == serial folding** — any split of a stream into contiguous
   chunks, each folded into its own fresh accumulator and merged in

@@ -202,7 +202,7 @@ class AbortingCheckpointer(Checkpointer):
             raise _Aborted
 
 
-def _reduce_state(engine, inputs, backend="serial", checkpointer=None, reduce=None):
+def _reduce_state(engine, inputs, backend="serial", checkpointer=None):
     """The checkpointed trace mean/variance fold, as its frozen state."""
     owned_pool = None
     if backend == "pool":
@@ -216,7 +216,6 @@ def _reduce_state(engine, inputs, backend="serial", checkpointer=None, reduce=No
             jobs=2,
             backend=backend,
             checkpoint=checkpointer,
-            reduce=reduce,
         ).value
     finally:
         if owned_pool is not None:
@@ -230,15 +229,12 @@ def assert_states_equal(left: dict, right: dict) -> None:
     assert left["m2"].tobytes() == right["m2"].tobytes()
 
 
-@pytest.mark.parametrize("reduce", [None, "worker"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("precision", ["float32", "float64-exact"])
 class TestResumeByteIdentity:
     """The acceptance criterion: killed + resumed == uninterrupted."""
 
-    def test_aborted_fold_resumes_byte_identical(
-        self, backend, precision, reduce, tmp_path
-    ):
+    def test_aborted_fold_resumes_byte_identical(self, backend, precision, tmp_path):
         inputs = make_inputs(48)
         clean = _reduce_state(make_engine(precision), inputs)
 
@@ -249,15 +245,12 @@ class TestResumeByteIdentity:
                 inputs,
                 backend,
                 AbortingCheckpointer(str(tmp_path), abort_after=2),
-                reduce,
             )
 
         # Second run: resume restores the merged state, re-acquires the
         # rest through the same backend and merges it on top.
         second = Checkpointer(str(tmp_path), resume=True)
-        resumed = _reduce_state(
-            make_engine(precision), inputs, backend, second, reduce
-        )
+        resumed = _reduce_state(make_engine(precision), inputs, backend, second)
         assert second.resumed_from == 2
         assert_states_equal(resumed, clean)
 

@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.campaigns import engine as engine_module
 from repro.campaigns.engine import (
@@ -12,6 +13,7 @@ from repro.campaigns.engine import (
     schedule_cache_info,
     schedule_compiles,
 )
+from repro.campaigns.reduction import ChunkFold
 from repro.crypto.aes_asm import LAYOUT, aes128_program
 from repro.isa.parser import assemble
 from repro.isa.registers import Reg
@@ -45,6 +47,20 @@ def make_engine(seed=0xE1, **kwargs):
     )
 
 
+class ChunkInputsFold(ChunkFold):
+    """Records each chunk's bounds, row count and ``r1`` input slice."""
+
+    def create(self):
+        return []
+
+    def fold_chunk(self, task, trace_set):
+        return (task.lo, task.hi, trace_set.n_traces, trace_set.inputs.regs[Reg.R1])
+
+    def merge_state(self, accumulator, task, state):
+        accumulator.append(state)
+        return accumulator
+
+
 class TestMonolithicEquivalence:
     def test_engine_acquire_equals_legacy_campaign(self):
         inputs = make_inputs()
@@ -57,9 +73,9 @@ class TestMonolithicEquivalence:
     def test_single_chunk_stream_equals_monolithic(self):
         inputs = make_inputs()
         monolithic = make_engine().acquire(inputs)
-        chunks = list(make_engine().stream(inputs, chunk_size=1_000))
+        chunks = rawchunks.chunks(make_engine(), inputs, chunk_size=1_000)
         assert len(chunks) == 1
-        np.testing.assert_array_equal(chunks[0].traces, monolithic.traces)
+        np.testing.assert_array_equal(chunks[0]["traces"], monolithic.traces)
 
 
 class TestChunking:
@@ -75,46 +91,46 @@ class TestChunking:
     @pytest.mark.parametrize("chunk_size", (1, 7, 16))
     def test_chunks_tile_the_inputs(self, chunk_size):
         inputs = make_inputs()
+        seen = make_engine().reduce(inputs, ChunkInputsFold(), chunk_size=chunk_size).value
         covered = 0
-        for chunk in make_engine().stream(inputs, chunk_size=chunk_size):
-            assert chunk.start == covered
-            assert chunk.n_traces == chunk.traces.shape[0]
-            np.testing.assert_array_equal(
-                chunk.inputs.regs[Reg.R1], inputs.regs[Reg.R1][chunk.start : chunk.stop]
-            )
-            covered = chunk.stop
+        for lo, hi, rows, r1 in seen:
+            assert (lo, rows) == (covered, hi - lo)
+            np.testing.assert_array_equal(r1, inputs.regs[Reg.R1][lo:hi])
+            covered = hi
         assert covered == inputs.n_traces
 
     def test_stream_is_deterministic(self):
         inputs = make_inputs()
         engine = make_engine()
-        first = np.concatenate([c.traces for c in engine.stream(inputs, chunk_size=16)])
-        second = np.concatenate([c.traces for c in engine.stream(inputs, chunk_size=16)])
+        first = rawchunks.traces(engine, inputs, chunk_size=16)
+        second = rawchunks.traces(engine, inputs, chunk_size=16)
         np.testing.assert_array_equal(first, second)
 
     def test_chunks_have_distinct_noise(self):
         inputs = make_inputs()
-        chunks = list(make_engine().stream(inputs, chunk_size=24))
+        chunks = rawchunks.chunks(make_engine(), inputs, chunk_size=24)
         assert len(chunks) == 2
         # Same program, same shapes — only the noise stream differs.
-        assert not np.array_equal(chunks[0].traces, chunks[1].traces)
+        assert not np.array_equal(chunks[0]["traces"], chunks[1]["traces"])
 
 
 class TestParallel:
     def test_parallel_stream_equals_serial(self):
         inputs = make_inputs()
         engine = make_engine()
-        serial = [c for c in engine.stream(inputs, chunk_size=8, jobs=1)]
-        parallel = [c for c in engine.stream(inputs, chunk_size=8, jobs=3)]
-        assert [c.start for c in serial] == [c.start for c in parallel]
+        serial = rawchunks.chunks(engine, inputs, chunk_size=8, jobs=1)
+        parallel = rawchunks.chunks(engine, inputs, chunk_size=8, jobs=3)
+        assert [c["lo"] for c in serial] == [c["lo"] for c in parallel]
         for left, right in zip(serial, parallel):
-            np.testing.assert_array_equal(left.traces, right.traces)
+            np.testing.assert_array_equal(left["traces"], right["traces"])
 
     def test_parallel_chunks_carry_value_tables(self):
         inputs = make_inputs()
-        for chunk in make_engine().stream(inputs, chunk_size=16, jobs=2):
-            assert chunk.trace_set.table is not None
-            assert chunk.trace_set.table.n_traces == chunk.n_traces
+        for chunk in rawchunks.chunks(
+            make_engine(), inputs, table=True, chunk_size=16, jobs=2
+        ):
+            assert chunk["table"] is not None
+            assert chunk["table"].n_traces == chunk["traces"].shape[0]
 
 
 class TestFloat32Streaming:
@@ -132,28 +148,26 @@ class TestFloat32Streaming:
     def test_chunked_equals_monolithic_byte_for_byte(self, chunk_size):
         inputs = make_inputs(n=120)
         monolithic = self.make_float32_engine().acquire(inputs).traces
-        chunked = np.concatenate(
-            [c.traces for c in self.make_float32_engine().stream(inputs, chunk_size=chunk_size)]
-        )
+        chunked = rawchunks.traces(self.make_float32_engine(), inputs, chunk_size=chunk_size)
         np.testing.assert_array_equal(chunked, monolithic)
 
     def test_parallel_fanout_equals_monolithic(self):
         inputs = make_inputs(n=120)
         monolithic = self.make_float32_engine().acquire(inputs).traces
-        parallel = np.concatenate(
-            [c.traces for c in self.make_float32_engine().stream(inputs, chunk_size=32, jobs=3)]
+        parallel = rawchunks.traces(
+            self.make_float32_engine(), inputs, chunk_size=32, jobs=3
         )
         np.testing.assert_array_equal(parallel, monolithic)
 
     def test_full_scale_pinned_across_chunks(self):
         inputs = make_inputs(n=120)
         engine = self.make_float32_engine()
-        chunks = list(engine.stream(inputs, chunk_size=40))
+        chunks = rawchunks.chunks(engine, inputs, chunk_size=40)
         pinned = engine._campaign.pinned_full_scale
         assert pinned is not None
         lsb = pinned / 256
         for chunk in chunks:
-            grid = chunk.traces / lsb
+            grid = chunk["traces"] / lsb
             np.testing.assert_allclose(grid, np.rint(grid), atol=1e-2)
 
     @pytest.mark.parametrize("transform", [None, lambda power: power * 4.0])
@@ -176,12 +190,12 @@ class TestFloat32Streaming:
         engine, monolithic_runs = counting(self.make_float32_engine())
         monolithic = engine.acquire(inputs, power_transform=transform)
         engine, streamed_runs = counting(self.make_float32_engine())
-        chunks = list(engine.stream(inputs, power_transform=transform))
+        chunks = rawchunks.chunks(engine, inputs, power_transform=transform)
         assert len(chunks) == 1
         # Exactly the batch executions of the monolithic capture: no
         # separate calibration pass over the leading traces.
         assert streamed_runs == monolithic_runs == [300]
-        np.testing.assert_array_equal(chunks[0].traces, monolithic.traces)
+        np.testing.assert_array_equal(chunks[0]["traces"], monolithic.traces)
 
     def test_figure3_chunks_sit_on_one_lsb_grid(self):
         # Every chunk of a streamed float32 Figure-3 campaign quantizes
@@ -202,7 +216,7 @@ class TestFloat32Streaming:
             seed=5,
             chunk_size=500,
         )
-        chunks = [chunk.traces for chunk in engine.stream(inputs, jobs=2)]
+        chunks = [chunk["traces"] for chunk in rawchunks.chunks(engine, inputs, jobs=2)]
         assert len(chunks) == 3
         lsb = engine._campaign.pinned_full_scale / 2**scope.quantize_bits
         for traces in chunks:
@@ -222,15 +236,11 @@ class TestFloat32Streaming:
         monolithic = self.make_float32_engine().acquire(
             inputs, power_transform=lambda p: p * 4.0
         )
-        chunked = np.concatenate(
-            [
-                c.traces
-                for c in self.make_float32_engine().stream(
-                    inputs,
-                    chunk_size=40,
-                    power_transform_factory=lambda i: (lambda p: p * 4.0),
-                )
-            ]
+        chunked = rawchunks.traces(
+            self.make_float32_engine(),
+            inputs,
+            chunk_size=40,
+            power_transform_factory=lambda i: (lambda p: p * 4.0),
         )
         np.testing.assert_array_equal(chunked, monolithic.traces)
 
@@ -241,12 +251,12 @@ class TestAutoRangePinning:
     def test_multi_chunk_stream_pins_one_lsb(self):
         inputs = make_inputs(n=96)
         engine = make_engine()
-        chunks = list(engine.stream(inputs, chunk_size=32))
+        chunks = rawchunks.chunks(engine, inputs, chunk_size=32)
         pinned = engine._campaign.pinned_full_scale
         assert pinned is not None
         lsb = pinned / 256
         for chunk in chunks:
-            grid = chunk.traces / lsb
+            grid = chunk["traces"] / lsb
             np.testing.assert_allclose(grid, np.rint(grid), atol=1e-2)
 
     def test_single_chunk_stream_stays_unpinned_and_exact(self):
@@ -256,23 +266,21 @@ class TestAutoRangePinning:
         engine = make_engine()
         monolithic = engine.acquire(inputs).traces
         assert engine._campaign.pinned_full_scale is None
-        streamed = list(make_engine().stream(inputs, chunk_size=1_000))[0].traces
+        streamed = rawchunks.traces(make_engine(), inputs, chunk_size=1_000)
         np.testing.assert_array_equal(streamed, monolithic)
 
     def test_parallel_pinning_matches_serial(self):
         inputs = make_inputs(n=96)
         serial_engine = make_engine()
-        serial = [c.traces for c in serial_engine.stream(inputs, chunk_size=24)]
+        serial = rawchunks.chunks(serial_engine, inputs, chunk_size=24)
         parallel_engine = make_engine()
-        parallel = [
-            c.traces for c in parallel_engine.stream(inputs, chunk_size=24, jobs=3)
-        ]
+        parallel = rawchunks.chunks(parallel_engine, inputs, chunk_size=24, jobs=3)
         assert (
             serial_engine._campaign.pinned_full_scale
             == parallel_engine._campaign.pinned_full_scale
         )
         for left, right in zip(serial, parallel):
-            np.testing.assert_array_equal(left, right)
+            np.testing.assert_array_equal(left["traces"], right["traces"])
 
 
 class TestScheduleCache:
@@ -403,7 +411,7 @@ class TestScheduleCache:
         inputs = make_inputs()
         engine = StreamingCampaign(program, scope=ScopeConfig(noise_sigma=3.0), seed=3)
         engine.acquire(inputs)
-        list(engine.stream(inputs, chunk_size=8))
+        rawchunks.chunks(engine, inputs, chunk_size=8)
         assert engine._campaign.compile_count <= 1
 
 
@@ -415,14 +423,9 @@ class TestPowerTransforms:
             scope=ScopeConfig(noise_sigma=0.0, kernel=(1.0,), quantize_bits=None),
             seed=5,
         )
-        plain = np.concatenate([c.traces for c in quiet.stream(inputs, chunk_size=16)])
-        boosted = np.concatenate(
-            [
-                c.traces
-                for c in quiet.stream(
-                    inputs, chunk_size=16, power_transform=lambda p: p * 2.0
-                )
-            ]
+        plain = rawchunks.traces(quiet, inputs, chunk_size=16)
+        boosted = rawchunks.traces(
+            quiet, inputs, chunk_size=16, power_transform=lambda p: p * 2.0
         )
         np.testing.assert_allclose(boosted, 2.0 * plain, atol=1e-4)
 
@@ -439,25 +442,24 @@ class TestPowerTransforms:
             seen.append(index)
             return lambda p: p + float(index)
 
-        chunks = list(
-            quiet.stream(inputs, chunk_size=16, power_transform_factory=factory)
+        chunks = rawchunks.chunks(
+            quiet, inputs, chunk_size=16, power_transform_factory=factory
         )
         assert seen == [0, 1, 2]
         # Chunk k's power was shifted by k.
-        baseline = list(quiet.stream(inputs, chunk_size=16))
+        baseline = rawchunks.chunks(quiet, inputs, chunk_size=16)
         for chunk, plain in zip(chunks[1:], baseline[1:]):
-            delta = chunk.traces.astype(np.float64) - plain.traces.astype(np.float64)
-            assert delta.mean() == pytest.approx(chunk.index, abs=1e-3)
+            delta = chunk["traces"].astype(np.float64) - plain["traces"].astype(np.float64)
+            assert delta.mean() == pytest.approx(chunk["index"], abs=1e-3)
 
     def test_transform_and_factory_are_exclusive(self):
         inputs = make_inputs()
         engine = make_engine()
         with pytest.raises(ValueError):
-            list(
-                engine.stream(
-                    inputs,
-                    chunk_size=8,
-                    power_transform=lambda p: p,
-                    power_transform_factory=lambda i: (lambda p: p),
-                )
+            rawchunks.chunks(
+                engine,
+                inputs,
+                chunk_size=8,
+                power_transform=lambda p: p,
+                power_transform_factory=lambda i: (lambda p: p),
             )

@@ -13,6 +13,7 @@ single-issue scheduling), so each gets the same guarantees:
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.campaigns.engine import StreamingCampaign
 from repro.isa.parser import assemble
@@ -63,46 +64,32 @@ class TestAllPresets:
         inputs = make_inputs()
         monolithic = make_engine(preset, "float32").acquire(inputs).traces
         for chunk_size in (17, 32):
-            chunked = np.concatenate(
-                [
-                    c.traces
-                    for c in make_engine(preset, "float32").stream(
-                        inputs, chunk_size=chunk_size
-                    )
-                ]
+            chunked = rawchunks.traces(
+                make_engine(preset, "float32"), inputs, chunk_size=chunk_size
             )
             np.testing.assert_array_equal(chunked, monolithic)
 
     def test_float32_parallel_fanout_equals_monolithic(self, preset):
         inputs = make_inputs()
         monolithic = make_engine(preset, "float32").acquire(inputs).traces
-        parallel = np.concatenate(
-            [
-                c.traces
-                for c in make_engine(preset, "float32").stream(
-                    inputs, chunk_size=32, jobs=3
-                )
-            ]
+        parallel = rawchunks.traces(
+            make_engine(preset, "float32"), inputs, chunk_size=32, jobs=3
         )
         np.testing.assert_array_equal(parallel, monolithic)
 
     def test_float64_single_chunk_stream_equals_monolithic(self, preset):
         inputs = make_inputs()
         monolithic = make_engine(preset, "float64-exact").acquire(inputs).traces
-        chunks = list(
-            make_engine(preset, "float64-exact").stream(inputs, chunk_size=1_000)
+        chunks = rawchunks.chunks(
+            make_engine(preset, "float64-exact"), inputs, chunk_size=1_000
         )
         assert len(chunks) == 1
-        np.testing.assert_array_equal(chunks[0].traces, monolithic)
+        np.testing.assert_array_equal(chunks[0]["traces"], monolithic)
 
     def test_float64_chunked_stream_is_seed_deterministic(self, preset):
         inputs = make_inputs()
-        first = np.concatenate(
-            [c.traces for c in make_engine(preset, "float64-exact").stream(inputs, chunk_size=24)]
-        )
-        second = np.concatenate(
-            [c.traces for c in make_engine(preset, "float64-exact").stream(inputs, chunk_size=24)]
-        )
+        first = rawchunks.traces(make_engine(preset, "float64-exact"), inputs, chunk_size=24)
+        second = rawchunks.traces(make_engine(preset, "float64-exact"), inputs, chunk_size=24)
         np.testing.assert_array_equal(first, second)
 
 

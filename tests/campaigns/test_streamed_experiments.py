@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import rawchunks
 
 from repro.backends import fork_available
 from repro.campaigns.accumulators import (
@@ -128,10 +129,10 @@ class TestFigure3SingleChunkFold:
 
 
 class TestFigure3FoldPaths:
-    """The streamed figure3 folds — parent stream, worker reduction and
-    checkpoint resume — all fold partition sums in chunk order, so their
-    correlations are byte-equal; the two-pass CPA over the monolithic
-    acquisition is the oracle they agree with."""
+    """The streamed figure3 folds — serial, in fork workers and through
+    a checkpoint resume — all fold partition sums in chunk order, so
+    their correlations are byte-equal; the two-pass CPA over the
+    monolithic acquisition is the oracle they agree with."""
 
     @pytest.fixture(scope="class")
     def serial(self):
@@ -149,7 +150,7 @@ class TestFigure3FoldPaths:
         ],
     )
     def test_worker_reduction_is_byte_equal(self, serial, backend, jobs):
-        reduced = _f32_figure3(reduce="worker", backend=backend, jobs=jobs)
+        reduced = _f32_figure3(backend=backend, jobs=jobs)
         assert reduced.cpa.correlations.tobytes() == serial.cpa.correlations.tobytes()
 
     def test_killed_then_resumed_checkpoint_is_byte_equal(self, serial, tmp_path, monkeypatch):
@@ -182,16 +183,16 @@ class TestFigure3FoldPaths:
             np.abs(monolithic.timecourse)
         )
 
-    @pytest.mark.parametrize("reduce", [None, "worker"])
-    def test_resuming_a_comoment_checkpoint_is_refused(self, tmp_path, reduce):
-        _f32_figure3(checkpoint=str(tmp_path), reduce=reduce)
+    @pytest.mark.parametrize("legacy", ["stream-record", "kindless-state"])
+    def test_resuming_a_comoment_checkpoint_is_refused(self, tmp_path, legacy):
+        _f32_figure3(checkpoint=str(tmp_path))
         store = CheckpointStore(str(tmp_path))
         record = store.load()
         rng = np.random.default_rng(0)
         corr = OnlineCorrAccumulator()
         corr.update(rng.normal(size=(4, 256)), rng.normal(size=(4, 3)))
         guesses = np.arange(256)
-        if reduce is None:
+        if legacy == "stream-record":
             # What the retired parent-stream path wrote: its own stream
             # fingerprint over a pickled co-moment accumulator (bare
             # ``_corr``).  The fold path never resumes it.
@@ -216,7 +217,7 @@ class TestFigure3FoldPaths:
             record["state"] = {"guesses": guesses, "corr": corr.state()}
         store.save(record)
         with pytest.raises(CheckpointMismatch, match=str(tmp_path)):
-            _f32_figure3(checkpoint=str(tmp_path), resume=True, reduce=reduce)
+            _f32_figure3(checkpoint=str(tmp_path), resume=True)
 
 
 class TestBudgetFoldReduction:
@@ -232,9 +233,10 @@ class TestBudgetFoldReduction:
         )
         budgets = (50, 140, 240)
         serial = CpaBudgetSnapshots(budgets)
-        for chunk in engine.stream(inputs):
-            plaintexts = inputs.mem_bytes[LAYOUT.state][chunk.start : chunk.stop]
-            serial.update(chunk.traces, hw_sbox_class_model(plaintexts, 0))
+        for chunk in rawchunks.chunks(engine, inputs):
+            lo, traces = chunk["lo"], chunk["traces"]
+            plaintexts = inputs.mem_bytes[LAYOUT.state][lo : lo + traces.shape[0]]
+            serial.update(traces, hw_sbox_class_model(plaintexts, 0))
         fold = SboxCpaBudgetFold(byte_index=0, budgets=budgets)
         reduced = engine.reduce(inputs, fold, backend="serial").value
         assert [r.n_traces for r in reduced.results] == list(budgets)
@@ -286,13 +288,11 @@ class TestColumnCorrFold:
         assert corrs.curve()[240] == pytest.approx(abs(corrs.peaks()[0]), abs=0)
 
     @pytest.mark.skipif(not fork_available(), reason="needs the fork backend")
-    def test_worker_fold_is_byte_equal_to_the_parent_fold(self, campaign):
+    def test_fork_fold_is_byte_equal_to_the_serial_fold(self, campaign):
         engine, inputs, values, _traces = campaign
-        parent = engine.reduce(inputs, self.fold(values), backend="serial").value
-        worker = engine.reduce(
-            inputs, self.fold(values), backend="fork", jobs=2, reduce="worker"
-        ).value
-        assert worker.peaks() == parent.peaks()
+        serial = engine.reduce(inputs, self.fold(values), backend="serial").value
+        forked = engine.reduce(inputs, self.fold(values), backend="fork", jobs=2).value
+        assert forked.peaks() == serial.peaks()
         for budget in self.BUDGETS:
-            for ours, theirs in zip(worker.snapshots[budget], parent.snapshots[budget]):
+            for ours, theirs in zip(forked.snapshots[budget], serial.snapshots[budget]):
                 assert (ours is None and theirs is None) or ours.tobytes() == theirs.tobytes()

@@ -8,6 +8,7 @@ every chunk.
 """
 
 import numpy as np
+import rawchunks
 
 from repro.campaigns.engine import StreamingCampaign, clear_schedule_cache
 from repro.isa.executor import Executor
@@ -141,13 +142,13 @@ class TestStreamedReplay:
         engine = StreamingCampaign(
             assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1
         )
-        chunks = list(engine.stream(inputs, chunk_size=17))
+        chunks = rawchunks.chunks(engine, inputs, table=True, chunk_size=17)
         assert len(chunks) == 4
         assert engine._campaign.compile_count == 1
         for chunk in chunks:
-            assert isinstance(chunk.trace_set.table, PackedValues)
+            assert isinstance(chunk["table"], PackedValues)
         # chunks share one tape: the layouts are the same object
-        layouts = {id(c.trace_set.table.layout) for c in chunks}
+        layouts = {id(c["table"].layout) for c in chunks}
         assert len(layouts) == 1
 
     def test_tape_is_built_on_first_replay(self, monkeypatch):
@@ -180,12 +181,12 @@ class TestStreamedReplay:
         monolithic = StreamingCampaign(
             assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1
         ).acquire(inputs)
-        chunks = list(
-            StreamingCampaign(
-                assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1
-            ).stream(inputs, chunk_size=1_000)
+        streamed = rawchunks.traces(
+            StreamingCampaign(assemble(SRC), scope=ScopeConfig(noise_sigma=3.0), seed=0xE1),
+            inputs,
+            chunk_size=1_000,
         )
-        np.testing.assert_array_equal(chunks[0].traces, monolithic.traces)
+        np.testing.assert_array_equal(streamed, monolithic.traces)
 
 
 class TestDivergenceRecovery:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.backends import fork_available
 from repro.corpus.manifest import GridEntry, Manifest
 from repro.corpus.runner import (
     CorpusCampaign,
@@ -135,21 +136,21 @@ class TestCapabilityNegotiation:
             manifest = Manifest(
                 name="m", workloads=("memcpy-restricted",), budgets=(32,)
             )
-            result = CorpusCampaign(manifest, store=None, reduce="worker").run()
+            result = CorpusCampaign(manifest, store=None, chunk_size=16).run()
             assert result.failed == 1
-            assert "reduce" in result.cells[0].error
+            assert "chunk_size" in result.cells[0].error
         finally:
             _REGISTRY.pop("memcpy-restricted", None)
 
     def test_negotiation_error_names_every_knob(self):
-        error = WorkloadCapabilityError("w", ("chunk_size", "reduce"))
-        assert "chunk_size" in str(error) and "reduce" in str(error)
+        error = WorkloadCapabilityError("w", ("chunk_size", "retries"))
+        assert "chunk_size" in str(error) and "retries" in str(error)
 
     def test_full_capability_workloads_accept_all_knobs(self, tmp_path):
         campaign = tiny_campaign(
-            tmp_path, chunk_size=16, retries=0, reduce="worker"
+            tmp_path, chunk_size=16, backend="serial", retries=0
         )
-        assert campaign._requested_knobs() == ("chunk_size", "retries", "reduce")
+        assert campaign._requested_knobs() == ("chunk_size", "backend", "retries")
         for name in TINY.workloads:
             campaign._negotiate(workload(name))  # must not raise
 
@@ -178,22 +179,23 @@ class TestEquivalence:
             assert fa.cpa_margin == pytest.approx(fb.cpa_margin, rel=1e-9)
             assert fa.peak_snr == pytest.approx(fb.peak_snr, rel=1e-9)
 
-    def test_worker_reduce_equals_parent_fold(self, tmp_path):
-        parent = tiny_campaign(tmp_path, store=None, chunk_size=16).run()
-        worker = tiny_campaign(
-            tmp_path, store=None, chunk_size=16, reduce="worker"
+    @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
+    def test_fork_fold_equals_serial_fold(self, tmp_path):
+        serial = tiny_campaign(tmp_path, store=None, chunk_size=16).run()
+        forked = tiny_campaign(
+            tmp_path, store=None, chunk_size=16, backend="fork", jobs=2
         ).run()
-        for a, b in zip(parent.cells, worker.cells):
+        for a, b in zip(serial.cells, forked.cells):
             assert a.metrics.to_json() == b.metrics.to_json()
 
     def test_store_key_identical_across_execution_layouts(self, tmp_path):
         mono = tiny_campaign(tmp_path).run()
-        worker = tiny_campaign(
-            tmp_path, store=str(tmp_path / "store"), reduce="worker"
+        parallel = tiny_campaign(
+            tmp_path, store=str(tmp_path / "store"), backend="fork", jobs=2
         ).run()
-        # Same result identity -> the worker-reduce rerun is a pure hit.
-        assert worker.store_hits == 2
-        assert [c.key for c in mono.cells] == [c.key for c in worker.cells]
+        # Same result identity -> the parallel rerun is a pure hit.
+        assert parallel.store_hits == 2
+        assert [c.key for c in mono.cells] == [c.key for c in parallel.cells]
 
 
 class TestCheckpointResume:
@@ -216,7 +218,7 @@ class TestCheckpointResume:
     def test_fingerprint_excludes_execution_layout(self, tmp_path):
         cells = TINY.expand()
         a = CorpusCampaign(TINY, store=None, jobs=1)
-        b = CorpusCampaign(TINY, store=None, jobs=4, reduce="worker")
+        b = CorpusCampaign(TINY, store=None, jobs=4, backend="fork")
         assert a._fingerprint(cells) == b._fingerprint(cells)
 
     def test_fingerprint_covers_result_knobs(self, tmp_path):
@@ -229,6 +231,6 @@ class TestCheckpointResume:
 
 
 class TestValidation:
-    def test_bad_reduce_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="reduce"):
-            CorpusCampaign(TINY, store=None, reduce="sideways")
+    def test_reduce_is_not_a_corpus_knob(self):
+        with pytest.raises(TypeError, match="reduce"):
+            CorpusCampaign(TINY, store=None, reduce="worker")

@@ -72,7 +72,7 @@ class TestMetadata:
     def test_every_workload_declares_engine_capabilities(self):
         for entry in workloads():
             assert Capability.CHUNKING in entry.capabilities, entry.name
-            assert Capability.REDUCE in entry.capabilities, entry.name
+            assert Capability.JOBS in entry.capabilities, entry.name
 
 
 class TestCompileAndReplay:

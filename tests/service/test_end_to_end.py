@@ -112,6 +112,15 @@ class TestWireIdentity:
         served.pop("seconds"), local.pop("seconds")
         assert json.dumps(served, sort_keys=True) == json.dumps(local, sort_keys=True)
 
+    def test_a_record_carrying_the_retired_reduce_field_still_runs(self, service):
+        # Older clients and queued records still send ``reduce``; it is
+        # checked and dropped, so the run lands in the same cache slot.
+        submission = service.submit("figure3", {**REQUEST, "seed": 6, "reduce": "worker"})
+        served = service.result(submission["id"], wait=True, timeout=240)
+        assert served["scenario"] == "figure3" and "error" not in served
+        twin = service.submit("figure3", {**REQUEST, "seed": 6})
+        assert twin["cache"] == "hit"
+
     def test_duplicate_is_served_from_cache_without_execution(self, service):
         first = service.submit("figure3", REQUEST)
         first_env = service.result(first["id"], wait=True, timeout=240)

@@ -2,8 +2,8 @@
 
 The content address must be *honest*: two requests share a key exactly
 when the equivalence guarantees of the execution stack say their
-envelopes are byte-identical.  Backend/jobs/reduce/retries/timeout
-equivalence is pinned by the backend and reduction test suites;
+envelopes are byte-identical.  Backend/jobs/retries/timeout
+equivalence is pinned by the backend test suites;
 ``chunk_size`` is layout-proof only on the float32 chain (counter-based
 noise addressed by absolute trace position), so it stays in the key on
 the float64-exact chain.
@@ -74,7 +74,6 @@ class TestPerformanceKnobs:
             {"jobs": 4},
             {"backend": "pool"},
             {"backend": "serial"},
-            {"reduce": "worker"},
             {"retries": 3},
             {"chunk_timeout": 9.5},
         ],
@@ -174,7 +173,6 @@ class TestResultCache:
             "jobs": st.integers(min_value=1, max_value=8),
             "chunk_size": st.integers(min_value=1, max_value=512),
             "backend": st.sampled_from(["auto", "serial", "fork", "pool"]),
-            "reduce": st.sampled_from(["parent", "worker"]),
         },
     )
 )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends import fork_available
 from repro.campaigns.engine import (
     StreamingCampaign,
     clear_schedule_cache,
@@ -286,11 +287,11 @@ class TestOneFoldPath:
         ).run()
         return _without_seconds(result.to_json())
 
-    def test_unchunked_equals_single_chunk_and_worker(self, precision):
+    def test_unchunked_equals_single_chunk(self, precision):
         monolithic = self.run(precision)
         assert self.run(precision, chunk_size=150) == monolithic
-        assert self.run(precision, reduce="worker") == monolithic
 
-    def test_chunked_worker_equals_chunked_parent(self, precision):
+    @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
+    def test_chunked_fork_fanout_equals_chunked_serial(self, precision):
         chunked = self.run(precision, chunk_size=40)
-        assert self.run(precision, chunk_size=40, reduce="worker") == chunked
+        assert self.run(precision, chunk_size=40, backend="fork", jobs=2) == chunked
