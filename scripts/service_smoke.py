@@ -1,6 +1,6 @@
 """CI service smoke: the HTTP service end to end, against a real process.
 
-Four stories, each against a live ``repro serve`` on an ephemeral port:
+Five stories, each against a live ``repro serve`` on an ephemeral port:
 
 1. **wire identity** — a figure3 envelope fetched over HTTP must be
    JSON-identical to ``repro figure3 --format json`` run locally with
@@ -9,9 +9,12 @@ Four stories, each against a live ``repro serve`` on an ephemeral port:
 2. **dedup** — resubmitting the identical request must be served from
    the cache (``X-Repro-Cache: hit``, job born ``done``) with the very
    same envelope, without re-execution;
-3. **backpressure** — with ``--quota 1``, a second in-flight job must be
+3. **long-poll** — a fresh miss's envelope must arrive through one
+   ``GET /v1/runs/{id}/result?wait=`` request, parked until the job
+   ends;
+4. **backpressure** — with ``--quota 1``, a second in-flight job must be
    refused with 429 + ``Retry-After`` while the first still completes;
-4. **restart survival** — ``kill -9`` the whole service mid-job, restart
+5. **restart survival** — ``kill -9`` the whole service mid-job, restart
    on the same spool, and the job must still complete with zero loss.
 
 Usage: PYTHONPATH=src python scripts/service_smoke.py [--out service_report.json]
@@ -120,6 +123,18 @@ def smoke_wire_identity_and_dedup(report: dict) -> None:
             print("dedup: duplicate served from cache (X-Repro-Cache: hit)")
             report["wire_identity"] = {"matches_cli": True}
             report["dedup"] = {"disposition": twin["cache"], "identical": True}
+
+            miss = client.submit("figure3", dict(REQUEST, seed=6))
+            assert miss["cache"] == "miss", miss
+            started = time.monotonic()
+            status, envelope, _headers = client.request(
+                "GET", f"/v1/runs/{miss['id']}/result?wait=30"
+            )
+            waited = time.monotonic() - started
+            assert status == 200, f"long-poll answered {status}: {envelope}"
+            assert envelope["scenario"] == "figure3" and not envelope.get("error"), envelope
+            print(f"long-poll: a miss's envelope arrived through one request ({waited:.2f}s)")
+            report["long_poll"] = {"requests": 1, "waited_s": round(waited, 3)}
         finally:
             stop_server(process)
 

@@ -299,10 +299,10 @@ class SerialBackend(ExecutionBackend):
             return context.fold.fold_chunk(task, trace_set)
 
         for task in tasks:
+            # No local binds the state: the consumer's merge is its last use.
             if resilience is None:
-                state = produce(task)
+                yield task.index, produce(task)
             else:
-                state = run_attempts(
+                yield task.index, run_attempts(
                     resilience, task, lambda attempt: produce(task), self.name
                 )
-            yield task.index, state

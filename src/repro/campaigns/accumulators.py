@@ -75,6 +75,23 @@ def _array(value, copy: bool, dtype=None) -> np.ndarray | None:
     return value.copy() if copy else value
 
 
+def _pearson_finish(comoment: np.ndarray, m2_x: np.ndarray, m2_y: np.ndarray) -> np.ndarray:
+    """``comoment / outer(sqrt(m2_x), sqrt(m2_y))``, undefined entries
+    zeroed, clipped to [-1, 1] — the finish of every CPA statistic.
+
+    The quotient is the only ``[n_models, n_samples]`` allocation; the
+    inputs are read, never written, so a prefix snapshot does not
+    consume its moments.  Bytes equal the allocating formula's
+    (``np.nan_to_num`` and ``np.clip`` of ``comoment / np.outer(...)``).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.multiply(np.sqrt(m2_x)[:, None], np.sqrt(m2_y))
+        np.divide(comoment, corr, out=corr)
+    if not np.isfinite(corr).all():
+        np.nan_to_num(corr, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    return np.clip(corr, -1.0, 1.0, out=corr)
+
+
 class OnlineMeanVar:
     """Running mean/variance over axis 0, one scalar pair per column.
 
@@ -277,11 +294,7 @@ class OnlineCorrAccumulator:
         if self.n == 0 or self._comoment is None:
             raise ValueError("no chunks accumulated")
         assert self._m2_x is not None and self._m2_y is not None
-        denominator = np.outer(np.sqrt(self._m2_x), np.sqrt(self._m2_y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = self._comoment / denominator
-        corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-        corr = np.clip(corr, -1.0, 1.0)
+        corr = _pearson_finish(self._comoment, self._m2_x, self._m2_y)
         return corr[0] if self._single else corr
 
     #: ``correlations`` reads the moments without consuming them; the
@@ -511,14 +524,10 @@ class PartitionSums:
         x = self.table[np.ix_(guesses, present)].astype(np.float64)
         x -= (x @ counts / n)[:, None]
         mean_y = self.sum_y / n
-        y = self.class_sums[present] - np.outer(counts, mean_y)
-        comoment = x @ y
-        m2_x = x**2 @ counts
+        y = self.class_sums[present]  # fancy indexing copies
+        y -= counts[:, None] * mean_y
         m2_y = self.sum_y2 - self.sum_y * mean_y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = comoment / np.outer(np.sqrt(m2_x), np.sqrt(m2_y))
-        corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-        return np.clip(corr, -1.0, 1.0)
+        return _pearson_finish(x @ y, x**2 @ counts, m2_y)
 
 
 def _kind_of(stats: "OnlineCorrAccumulator | PartitionSums") -> str:

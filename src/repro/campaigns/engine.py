@@ -342,6 +342,8 @@ class StreamingCampaign:
             context, run_tasks, policy=policy, jobs=jobs, checkpoint=checkpoint
         ):
             holder["acc"] = fold.merge_state(holder["acc"], by_index[index], state)
+            # Free the merged chunk state before the next one is acquired.
+            del state
         meta = TraceSet(
             traces=np.empty((0, compiled.leakage.n_samples), dtype=np.float32),
             inputs=inputs,
@@ -450,6 +452,7 @@ class StreamingCampaign:
                 try:
                     for index, state in resolved.map_chunks(context, pending):
                         yield index, state
+                        del state  # merged by now; do not hold it over the next chunk
                         delivered.add(index)
                         if checkpoint is not None:
                             checkpoint.chunk_done(index)

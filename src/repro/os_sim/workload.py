@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -29,6 +28,10 @@ class BackgroundWorkload:
 
     def sample(self, n_traces: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the background power for a campaign: [n_traces, n_samples]."""
+        # Imported here: only campaigns with background activity need
+        # scipy.signal, and it adds about 0.1 s to every cold start.
+        from scipy.signal import lfilter
+
         rho = self.correlation
         innovation_sigma = self.amplitude * np.sqrt(max(1.0 - rho * rho, 1e-9))
         noise = rng.normal(0.0, innovation_sigma, size=(n_traces, n_samples))

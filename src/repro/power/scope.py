@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 #: Supported acquisition-chain precision modes.
 PRECISION_MODES = ("float64-exact", "float32")
@@ -139,7 +138,7 @@ class Oscilloscope:
             prefix = prefix + np.asarray(extra_noise, dtype=np.float64)
         kernel = np.asarray(config.kernel, dtype=np.float64)
         if kernel.size > 1 and prefix.size:
-            prefix = lfilter(kernel, [1.0], prefix, axis=1)
+            prefix = fir_filter(kernel, prefix)
         spread = float(prefix.max() - prefix.min()) if prefix.size else 0.0
         full_scale = spread + 8.0 * float(config.effective_sigma)
         return full_scale if full_scale > 0 else 1.0
@@ -188,7 +187,7 @@ class Oscilloscope:
             owned = True
         kernel = np.asarray(config.kernel, dtype=np.float64)
         if kernel.size > 1:
-            traces = lfilter(kernel, [1.0], traces, axis=1)
+            traces = fir_filter(kernel, traces)
             owned = True
         if config.jitter_samples > 0:
             shifts = self.rng.integers(
@@ -404,6 +403,33 @@ class Oscilloscope:
 #: captures of one campaign (and of every same-shape campaign) reuse it
 #: instead of re-faulting ~10 MB of fresh mmap pages per call.
 _BLOCK_BUFFERS: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+
+
+def fir_filter(kernel: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Causal FIR of every row, byte-identical to the per-row reference
+    ``np.convolve(kernel, row)[:n_samples]`` (what
+    ``scipy.signal.lfilter(kernel, [1.0], traces, axis=1)`` computes).
+
+    One convolution runs over the flattened float64 matrix: every output
+    whose window lies inside one row goes through the same numpy kernel,
+    in the same summation order, as that row's own convolution.  Only
+    the first ``len(kernel) - 1`` columns of rows after the first mix in
+    the previous row's tail; they are recomputed with ``np.vecdot``,
+    which runs the dot product a row convolution uses for its warm-up
+    outputs.  Rows no longer than the kernel take the per-row reference
+    (numpy's convolution orders its operands by length).
+    """
+    traces = np.asarray(traces, dtype=np.float64)
+    n_samples = traces.shape[1]
+    if n_samples <= kernel.size:
+        out = np.empty(traces.shape)
+        for row, filtered in zip(traces, out):
+            filtered[:] = np.convolve(kernel, row)[:n_samples]
+        return out
+    out = np.convolve(kernel, traces.ravel())[: traces.size].reshape(traces.shape)
+    for col in range(kernel.size - 1):
+        out[1:, col] = np.vecdot(traces[1:, : col + 1], kernel[col::-1].copy())
+    return out
 
 
 def _block_buffers(rows: int, n_samples: int) -> dict[str, np.ndarray]:

@@ -12,6 +12,7 @@ Layering (each importable on its own):
 
 * :mod:`repro.service.queue`   — spool directory, ``repro.job/1``, claims
 * :mod:`repro.service.cache`   — :func:`job_key` + content-addressed results
+* :mod:`repro.service.channel` — wake/done pipes between server and workers
 * :mod:`repro.service.worker`  — the claim→execute→commit loop
 * :mod:`repro.service.runtime` — admission, dedup, quotas, worker pool
 * :mod:`repro.service.server`  — the HTTP/1.1 edge

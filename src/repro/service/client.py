@@ -1,10 +1,11 @@
 """A stdlib client for the leakage-evaluation service.
 
 Wraps :mod:`http.client` with keep-alive connection reuse, bearer-token
-auth and a poll-until-done helper.  The load generator, the smoke
-harness and the integration tests all drive the service through this —
-it is also the reference for third-party clients (four routes, JSON
-both ways; see ``docs/service.md``).
+auth and a wait-until-done helper that long-polls the result route.
+The load generator, the smoke harness and the integration tests all
+drive the service through this — it is also the reference for
+third-party clients (four routes, JSON both ways; see
+``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -113,15 +114,26 @@ class ServiceClient:
     def result(
         self, job_id: str, wait: bool = False, timeout: float = 300.0, poll: float = 0.05
     ) -> dict:
-        """The job's envelope record; optionally poll until it exists.
+        """The job's envelope record; optionally wait until it exists.
+
+        With ``wait`` every request long-polls (``?wait=``): the server
+        answers as soon as the job ends, or with 202 once the wait —
+        at most half the socket timeout — runs out, and the client asks
+        again until ``timeout``.  Only a 202 that comes back sooner than
+        ``poll`` seconds (a server that did not park the request) is
+        followed by a ``poll``-second pause.
 
         A failed job's error envelope is returned (not raised): it is a
         schema-valid ``repro.envelope/1`` record with an ``error`` field,
         exactly what ``repro --format json`` prints for a crash.
         """
         deadline = time.monotonic() + timeout
+        path = f"/v1/runs/{job_id}/result"
         while True:
-            status, body, headers = self.request("GET", f"/v1/runs/{job_id}/result")
+            sent = time.monotonic()
+            park = min(deadline - sent, self.timeout / 2)
+            target = f"{path}?wait={park:.3f}" if wait and park > 0 else path
+            status, body, headers = self.request("GET", target)
             if status in (200, 500):
                 return body
             if status != 202:
@@ -132,7 +144,8 @@ class ServiceClient:
                     if wait
                     else f"job {job_id} not finished (state {body.get('state')!r})"
                 )
-            time.sleep(poll)
+            if time.monotonic() - sent < poll:
+                time.sleep(poll)
 
     def run(self, scenario: str, request: Any = None, timeout: float = 300.0) -> dict:
         """Submit and wait: the remote analogue of ``Session.run``."""

@@ -18,7 +18,13 @@ and headers, and the tests drive it directly.  It owns:
 * **the worker pool** — OS processes running
   :func:`repro.service.worker.run_worker`, restarted into a recovered
   queue on service start (``recover()`` re-queues claims a dead worker
-  left behind, so a ``kill -9`` loses no jobs).
+  left behind, so a ``kill -9`` loses no jobs);
+* **the hand-off channels** — a wake channel the runtime signals once
+  per enqueued job (and once per worker on :meth:`ServiceRuntime.stop`)
+  and a done channel the workers report finished job ids on (read by
+  the HTTP edge's long-poll).  Both are
+  :class:`~repro.service.channel.Channel` pipes created before the
+  workers fork; they only shorten waits, the spool stays the truth.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Any
 
 from repro.atomicfile import atomic_write
 from repro.service.cache import ResultCache, job_key
+from repro.service.channel import Channel
 from repro.service.queue import JobQueue
 
 #: Wire knobs the service refuses regardless of scenario capabilities:
@@ -118,6 +125,10 @@ class ServiceRuntime:
             t.token: t for t in self.policy.tenants if t.token is not None
         }
         self._workers: list[multiprocessing.process.BaseProcess] = []
+        #: the hand-off channels of a started fork pool (``None`` until
+        #: :meth:`start`, and where workers cannot inherit pipes)
+        self.wake: Channel | None = None
+        self.done: Channel | None = None
 
     # -- tenancy ---------------------------------------------------------
 
@@ -155,15 +166,18 @@ class ServiceRuntime:
         """
         self._clear_stop()
         requeued = self.queue.recover()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+        if fork:
+            # Forked workers inherit the pipes; spawned ones fall back
+            # to re-scanning the spool on their safety timeout.
+            self.wake, self.done = Channel(), Channel()
         from repro.service.worker import run_worker
 
         for index in range(self.policy.workers):
             process = context.Process(
                 target=run_worker,
-                args=(self.spool, self.session_policy()),
+                args=(self.spool, self.session_policy(), self.wake, self.done),
                 name=f"repro-service-worker-{index}",
                 daemon=True,
             )
@@ -177,6 +191,8 @@ class ServiceRuntime:
     def stop(self, timeout: float = 5.0) -> None:
         """Flag workers down, join them, and terminate stragglers."""
         atomic_write(os.path.join(self.spool, "stop"), "stop")
+        for _ in self._workers:
+            self._wake()
         for process in self._workers:
             process.join(timeout=timeout)
         for process in self._workers:
@@ -184,6 +200,14 @@ class ServiceRuntime:
                 process.terminate()
                 process.join(timeout=1.0)
         self._workers = []
+        for channel in (self.wake, self.done):
+            if channel is not None:
+                channel.close()
+        self.wake = self.done = None
+
+    def _wake(self) -> None:
+        if self.wake is not None:
+            self.wake.send()
 
     def _clear_stop(self) -> None:
         try:
@@ -275,6 +299,7 @@ class ServiceRuntime:
             key=key,
         )
         self.queue.enqueue(record)
+        self._wake()
         self._claim_key(key, record["id"])
         return Submission(record, "miss")
 

@@ -12,6 +12,7 @@ Routes::
     POST /v1/runs               submit a repro.request/1 (+ scenario)
     GET  /v1/runs/{id}          the repro.job/1 record
     GET  /v1/runs/{id}/result   the repro.envelope/1 record
+                                (``?wait=S``: long-poll up to S seconds)
 
 Submission bodies look like::
 
@@ -29,7 +30,12 @@ Status mapping (the runtime raises, the edge translates):
 * per-tenant quota or queue-depth backpressure → **429** with a
   ``Retry-After`` header;
 * a result fetched before the job finished → **202** with the job
-  record (poll again);
+  record (poll again).  With ``?wait=S`` the request is parked until
+  the job is done or failed, or until ``min(S, LONG_POLL_CAP)``
+  seconds pass; only then does it answer 202.  Workers report finished
+  jobs on the runtime's done channel, which the event loop reads; a
+  parked request also re-reads the job record every
+  :data:`RECHECK_INTERVAL` seconds, so a lost report costs at most that;
 * a failed job's result → **500** carrying the error envelope.
 
 Every ``POST /v1/runs`` response carries ``X-Repro-Cache`` — ``miss``
@@ -47,6 +53,7 @@ import os
 from typing import Any
 
 from repro.atomicfile import atomic_write
+from repro.service.channel import Channel
 from repro.service.runtime import Busy, ServiceRejection, ServiceRuntime
 
 #: Largest accepted request body; leakage requests are a few KiB.
@@ -54,6 +61,12 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Seconds an idle keep-alive connection may sit before we close it.
 IDLE_TIMEOUT = 30.0
+
+#: Longest park of a ``?wait=`` result request, in seconds.
+LONG_POLL_CAP = 30.0
+
+#: Seconds between a parked request's re-reads of its job record.
+RECHECK_INTERVAL = 0.5
 
 _STATUS_TEXT = {
     200: "OK",
@@ -98,6 +111,10 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: job id -> futures of the requests parked on it
+        self._parked: dict[str, set[asyncio.Future]] = {}
+        self._done: Channel | None = None
+        self._closing = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -112,6 +129,9 @@ class ServiceServer:
             self._handle_connection, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._done = self.runtime.done
+        if self._done is not None:
+            asyncio.get_running_loop().add_reader(self._done.read_fd, self._on_done)
         atomic_write(os.path.join(self.runtime.spool, "port"), str(self.port))
         return self.port
 
@@ -121,6 +141,12 @@ class ServiceServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        # Parked long-polls answer 202 now instead of holding shutdown.
+        self._closing = True
+        self._release(list(self._parked))
+        if self._done is not None:
+            asyncio.get_running_loop().remove_reader(self._done.read_fd)
+            self._done = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -152,7 +178,7 @@ class ServiceServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                status, payload, extra = self._dispatch(method, path, headers, body)
+                status, payload, extra = await self._dispatch(method, path, headers, body)
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 if not keep_alive:
                     extra = dict(extra or {}, Connection="close")
@@ -203,9 +229,10 @@ class ServiceServer:
 
     # -- routing ---------------------------------------------------------
 
-    def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
+    async def _dispatch(
+        self, method: str, target: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict | list, dict[str, str] | None]:
+        path, _, query = target.partition("?")
         try:
             if path == "/v1/healthz":
                 if method != "GET":
@@ -220,7 +247,8 @@ class ServiceServer:
                     return self._method_not_allowed("GET")
                 tail = path[len("/v1/runs/") :]
                 if tail.endswith("/result"):
-                    return self._result(tail[: -len("/result")].rstrip("/"))
+                    job_id = tail[: -len("/result")].rstrip("/")
+                    return await self._result(job_id, _wait_seconds(query))
                 return self._status(tail)
             return 404, {"error": {"type": "unknown-route", "message": f"no route {path}"}}, None
         except _BadRequest as error:
@@ -328,7 +356,40 @@ class ServiceServer:
             return 404, {"error": {"type": "unknown-job", "message": f"no job {job_id!r}"}}, None
         return 200, record, None
 
-    def _result(self, job_id: str) -> tuple[int, dict, None]:
+    async def _result(self, job_id: str, wait: float) -> tuple[int, dict, None]:
+        """The result now, or — with ``wait`` — once the job ends or
+        ``min(wait, LONG_POLL_CAP)`` seconds pass."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + min(wait, LONG_POLL_CAP)
+        while True:
+            reply = self._result_now(job_id)
+            remaining = deadline - loop.time()
+            if reply[0] != 202 or remaining <= 0 or self._closing:
+                return reply
+            # No await between the read above and parking: a report
+            # the done channel delivers from here on reaches this park.
+            parked = loop.create_future()
+            self._parked.setdefault(job_id, set()).add(parked)
+            try:
+                await asyncio.wait({parked}, timeout=min(remaining, RECHECK_INTERVAL))
+            finally:
+                waiting = self._parked.get(job_id, set())
+                waiting.discard(parked)
+                if not waiting:
+                    self._parked.pop(job_id, None)
+
+    def _on_done(self) -> None:
+        """Event-loop reader of the done channel: release parked waits."""
+        assert self._done is not None
+        self._release(self._done.drain().decode().split())
+
+    def _release(self, job_ids: list[str]) -> None:
+        for job_id in job_ids:
+            for parked in self._parked.get(job_id, ()):
+                if not parked.done():
+                    parked.set_result(None)
+
+    def _result_now(self, job_id: str) -> tuple[int, dict, None]:
         record, envelope = self.runtime.result(job_id)
         if record is None:
             return 404, {"error": {"type": "unknown-job", "message": f"no job {job_id!r}"}}, None
@@ -337,6 +398,22 @@ class ServiceServer:
         if record.get("state") == "failed":
             return 500, envelope, None
         return 200, envelope, None
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` parameter of a result query, in seconds (0 if absent)."""
+    from urllib.parse import parse_qs
+
+    values = parse_qs(query).get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait = float(values[-1])
+    except ValueError:
+        wait = -1.0
+    if not 0.0 <= wait < float("inf"):
+        raise _BadRequest(400, f"wait must be a finite number of seconds >= 0, got {values[-1]!r}")
+    return wait
 
 
 def serve(

@@ -8,6 +8,15 @@ envelope passes :func:`~repro.api.envelope.validate_envelope` before it
 is committed, so the HTTP edge can serve result files without
 re-validating.
 
+An idle worker blocks on the runtime's wake channel (one token per
+enqueued job, see :mod:`repro.service.channel`) rather than sleeping
+between spool scans.  The wait ends after :data:`SAFETY_TIMEOUT` at the
+latest, so jobs re-queued by recovery or enqueued by another process,
+and the stop flag, are still seen.  After each job the worker reports
+its id on the done channel, which wakes long-poll requests parked on
+the HTTP edge.  The claim itself is unchanged: the spool's
+claim-by-rename decides which worker runs a job.
+
 A worker re-checks the result cache *after* claiming: a duplicate that
 was enqueued before its twin finished is served from cache instead of
 re-executed, which keeps the queue deduplicated even under races the
@@ -19,18 +28,25 @@ from __future__ import annotations
 import os
 import time
 
+#: Longest an idle worker waits for a wake token before it re-scans the
+#: spool and re-reads the stop flag.
+SAFETY_TIMEOUT = 1.0
+
 
 def _stop_requested(spool: str) -> bool:
     return os.path.exists(os.path.join(spool, "stop"))
 
 
-def run_worker(spool: str, policy: dict | None = None, poll_interval: float = 0.02) -> int:
+def run_worker(spool: str, policy: dict | None = None, wake=None, done=None) -> int:
     """Drain the queue at ``spool`` until stopped; returns jobs handled.
 
     ``policy`` carries session-level execution defaults
     (``backend``/``retries``/``chunk_timeout``); they apply
     only where a scenario supports them, exactly like any other session
-    default.
+    default.  ``wake`` and ``done`` are the runtime's
+    :class:`~repro.service.channel.Channel`\\ s; a worker started
+    without them (``python -m repro.service.worker``) re-scans the spool
+    every :data:`SAFETY_TIMEOUT` seconds when idle.
     """
     # Heavy imports stay inside the worker entry so the server process
     # can spawn workers without paying for numpy itself.
@@ -46,10 +62,15 @@ def run_worker(spool: str, policy: dict | None = None, poll_interval: float = 0.
         while not _stop_requested(spool):
             record = queue.claim()
             if record is None:
-                time.sleep(poll_interval)
+                if wake is None:
+                    time.sleep(SAFETY_TIMEOUT)
+                else:
+                    wake.wait(SAFETY_TIMEOUT)
                 continue
             handled += 1
             execute_job(session, queue, cache, record)
+            if done is not None:
+                done.send(f"{record['id']}\n".encode())
     return handled
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from repro.power.scope import Oscilloscope, ScopeConfig, gaussian_table
+from repro.power.scope import Oscilloscope, ScopeConfig, fir_filter, gaussian_table
 
 
 def flat_power(n_traces=200, n_samples=64, level=10.0):
@@ -131,6 +131,44 @@ def _reference_exact_capture(config: ScopeConfig, seed: int, power: np.ndarray) 
         full_scale = spread if spread > 0 else 1.0
     lsb = full_scale / (2**config.quantize_bits)
     return (np.round(traces / lsb) * lsb).astype(np.float32)
+
+
+def _per_row_fir(kernel: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """The reference: one causal ``np.convolve`` per trace."""
+    n_samples = traces.shape[1]
+    return np.stack([np.convolve(kernel, row)[:n_samples] for row in traces])
+
+
+class TestFirFilter:
+    """``fir_filter`` gives the per-row convolution's bytes."""
+
+    @pytest.mark.parametrize("n_taps", (2, 3, 4, 7, 11, 12, 16))
+    @pytest.mark.parametrize("n_samples", ("short", "kernel_plus_one", "wide"))
+    def test_byte_identical_to_per_row_convolve(self, n_taps, n_samples):
+        rng = np.random.default_rng(n_taps)
+        kernel = rng.normal(size=n_taps)
+        width = {"short": max(1, n_taps - 1), "kernel_plus_one": n_taps + 1, "wide": 480}
+        traces = rng.normal(scale=40.0, size=(23, width[n_samples]))
+        traces[0] = -0.0  # signed zeros must come out as the reference's
+        traces[5, ::3] = 0.0
+        expected = _per_row_fir(kernel, traces)
+        actual = fir_filter(kernel, traces)
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", (1e-6, 1.0, 3e7))
+    def test_scope_kernel_on_power_like_rows(self, scale):
+        kernel = np.asarray(ScopeConfig().kernel, dtype=np.float64)
+        rng = np.random.default_rng(11)
+        power = rng.integers(0, 60, size=(100, 2712)).astype(np.float64) * scale
+        power += rng.normal(size=power.shape)
+        expected = lfilter(kernel, [1.0], power, axis=1)
+        np.testing.assert_array_equal(fir_filter(kernel, power), _per_row_fir(kernel, power))
+        assert fir_filter(kernel, power).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_single_row(self):
+        kernel = np.asarray(ScopeConfig().kernel, dtype=np.float64)
+        row = np.random.default_rng(12).normal(size=(1, 50))
+        assert fir_filter(kernel, row).tobytes() == _per_row_fir(kernel, row).tobytes()
 
 
 class TestExactModeRegression:
